@@ -233,9 +233,9 @@ def _distance_matrix(tm, which):
     from .metric import hp_distance, hp_similarity
     from .stationary import stationary_distribution
 
-    phi = stationary_distribution(tm)
     if which == "A":
         return np.asarray(tm.P)
+    phi = stationary_distribution(tm)
     beta = 0.5 if which == "d12" else 1.0
     return hp_distance(hp_similarity(hitting_fast(tm), phi, beta)).D
 
@@ -371,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hitprob", help="hitting probability matrix or MC estimate")
     _add_input_flags(p)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--fast", action="store_true", default=True)
-    g.add_argument("--reference", action="store_true")
+    p.add_argument("--reference", action="store_true")
     p.add_argument("--out", help="dense CSV output (row = source)")
     p.add_argument("--mc", nargs=2, metavar=("I", "J"),
                    help="simulate hit-before-return for labels I J")

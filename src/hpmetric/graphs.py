@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, IrreducibilityError, ParseError
 
@@ -86,66 +87,18 @@ class TransitionMatrix:
             )
 
 
-def _adjacency_lists(support) -> list:
-    s = sp.csr_matrix(support)
-    return [s.indices[s.indptr[i]:s.indptr[i + 1]].tolist() for i in range(s.shape[0])]
-
-
 def strongly_connected_components(support) -> list:
-    """Tarjan's algorithm, iterative (explicit stack, safe for n >= 1e4).
+    """Strongly connected components of the digraph with an edge wherever
+    `support` (any boolean/weight matrix, dense or sparse) is nonzero.
 
-    `support` is any boolean/weight matrix; an edge exists where the entry is
-    nonzero.  Returns components as lists of node indices; within each
-    component indices are sorted ascending.
+    Returns components as lists of node indices; within each component
+    indices are sorted ascending.
     """
-    adj = _adjacency_lists(support)
-    n = len(adj)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comps = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ptr = work.pop()
-            if ptr == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            neighbors = adj[v]
-            while ptr < len(neighbors):
-                w = neighbors[ptr]
-                ptr += 1
-                if index[w] == -1:
-                    work.append((v, ptr))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recurse:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return comps
+    count, labels = connected_components(sp.csr_matrix(support), directed=True,
+                                         connection="strong")
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=count))
+    return [order[start:end].tolist() for start, end in zip(np.r_[0, ends[:-1]], ends)]
 
 
 def largest_scc(g: WeightedDigraph):

@@ -1,14 +1,15 @@
 """Hitting probabilities Q[i, j] = P_i(walk reaches j before returning to i).
 
 Two exact paths are provided: a per-column reference solve, and a fast path
-that inverts a single matrix and recovers every other column through a rank-2
-Sherman-Morrison-Woodbury update in O(n) per column.  Monte Carlo walk
-simulation serves as an independent statistical oracle.
+that inverts the single matrix I - P + 11^T/n and reads every entry of Q off
+that inverse through the escape-probability identity
+Q[i, j] = 1 / (phi_i (m_ij + m_ji)), with m the mean first passage times
+(Kemeny & Snell, *Finite Markov Chains*; Aldous & Fill, ch. 2).  Monte Carlo
+walk simulation serves as an independent statistical oracle.
 """
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -21,8 +22,8 @@ from .rng import stream
 
 STEP_CAP = 10_000_000
 
-# 1-norm condition estimate above which the single-inverse path is abandoned
-# for per-column solves.
+# 1-norm condition estimate of I - P + 11^T/n above which the single-inverse
+# path is abandoned for per-column solves.
 COND_LIMIT = 1e12
 
 
@@ -30,10 +31,9 @@ COND_LIMIT = 1e12
 class HittingProbabilities:
     """Matrix of hit-before-return probabilities with zero diagonal.
 
-    ``smw_fallbacks`` counts columns where the 2x2 capacitance was too close
-    to singular and the column was recomputed by the reference solve;
     ``used_reference`` is True when conditioning forced every column onto the
-    reference path.
+    reference path.  ``smw_fallbacks`` is always 0: the fast path has no
+    per-column fallback; the field stays because perfbench reads it.
     """
 
     Q: np.ndarray
@@ -82,81 +82,43 @@ def hitting_reference(tm: TransitionMatrix, j: int) -> np.ndarray:
     return col
 
 
-def _fast_columns(P: np.ndarray, B: np.ndarray):
-    """Yield (j, column) for j >= 1 via rank-2 SMW updates of B = inv(M(0)).
-
-    M(j) = M(0) + U V^T with U = [e_j, -e_0] and V^T = [e_j^T P; e_0^T P].
-    Only 2n - 2 entries of B are touched per column: B[:, j], B[:, 0] and
-    B[j, :], via the identity e_j^T P B = e_j^T B - e_j^T (valid for j != 0).
-    """
-    n = P.shape[0]
-    diagB = np.diag(B).copy()
-    col0 = B[:, 0].copy()
-    r1 = P[0, :] @ B
-
-    for j in range(1, n):
-        colj = B[:, j]
-        v1 = B[j, :].copy()
-        v1[j] -= 1.0
-        c11 = B[j, j]
-        c12 = -B[j, 0]
-        c21 = r1[j]
-        c22 = 1.0 - r1[0]
-        det = c11 * c22 - c12 * c21
-        scale = abs(c11 * c22) + abs(c12 * c21)
-        if abs(det) <= 1e-14 * max(1.0, scale):
-            yield j, None
-            continue
-        # Column j of inv(M(j)).
-        w0 = (c22 * v1[j] - c12 * r1[j]) / det
-        w1 = (-c21 * v1[j] + c11 * r1[j]) / det
-        numer = colj - (colj * w0 - col0 * w1)
-        # Diagonal of inv(M(j)).
-        z0 = (c22 * v1 - c12 * r1) / det
-        z1 = (-c21 * v1 + c11 * r1) / det
-        denom = diagB - (colj * z0 - col0 * z1)
-        q = numer / denom
-        q[j] = 0.0
-        yield j, q
-
-
 def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
-    """Full Q in O(n^3): one dense inverse, then O(n) per column.
+    """Full Q in O(n^3) from one dense inverse, by the escape-probability
+    identity Q[i, j] = 1 / (phi_i (m_ij + m_ji)).
 
-    Falls back to per-column reference solves when the base matrix is too
-    ill-conditioned, or per column when an update denominator degenerates.
+    With Z = inv(I - P + 11^T/n), phi = 1^T Z / n and the mean first passage
+    times are m_ij = (Z_jj - Z_ij) / phi_j (Kemeny & Snell, *Finite Markov
+    Chains*, 1960; Aldous & Fill, *Reversible Markov Chains and Random Walks
+    on Graphs*, ch. 2).  Z is overwritten in place by m, then by Q.  Falls
+    back to per-column reference solves when the inverted matrix is too
+    ill-conditioned.
     """
     n = tm.n
-    P = tm.P
-    M0 = _column_matrix(P, 0)
+    G = -tm.P
+    G += 1.0 / n
+    G.flat[:: n + 1] += 1.0
+    g_norm = la.norm(G, 1)
     try:
-        B = la.inv(M0)
+        Z = la.inv(G)
     except la.LinAlgError as exc:
-        raise NumericalError(f"base column matrix is singular: {exc}") from exc
+        raise NumericalError(f"fundamental matrix is singular: {exc}") from exc
+    del G
 
-    cond_est = la.norm(M0, 1) * la.norm(B, 1)
-    if cond_est > COND_LIMIT:
+    if g_norm * la.norm(Z, 1) > COND_LIMIT:
         Q = np.empty((n, n))
         for j in range(n):
             Q[:, j] = hitting_reference(tm, j)
         return HittingProbabilities(Q=Q, used_reference=True)
 
-    Q = np.empty((n, n))
-    Q[:, 0] = B[:, 0] / np.diag(B)
-    Q[0, 0] = 0.0
-    fallbacks = 0
-    for j, col in _fast_columns(P, B):
-        if col is None:
-            fallbacks += 1
-            col = hitting_reference(tm, j)
-        Q[:, j] = col
-    if fallbacks:
-        warnings.warn(
-            f"{fallbacks} column(s) fell back to the reference solve",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return HittingProbabilities(Q=Q, smw_fallbacks=fallbacks)
+    phi = Z.sum(axis=0) / n
+    np.subtract(np.diag(Z).copy(), Z, out=Z)
+    Z /= phi
+    # Commute times m_ij + m_ji; the infinite diagonal gives Q[i, i] = 0.
+    Z += Z.T
+    np.fill_diagonal(Z, np.inf)
+    Z *= phi[:, None]
+    np.reciprocal(Z, out=Z)
+    return HittingProbabilities(Q=Z)
 
 
 def _cumulative_rows(P: np.ndarray) -> list:

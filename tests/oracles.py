@@ -6,6 +6,7 @@ ratio formula, and clustering optima come from enumeration.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +37,44 @@ def oracle_hitting_matrix(P: np.ndarray) -> np.ndarray:
         for j in range(n):
             if i != j:
                 Q[i, j] = oracle_hitting_probability(P, i, j)
+    return Q
+
+
+def _solve_exact(A, b) -> list:
+    """Solve A x = b by Gauss-Jordan elimination over the rationals."""
+    m = len(b)
+    rows = [list(A[r]) + [b[r]] for r in range(m)]
+    for c in range(m):
+        p = next(r for r in range(c, m) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(m):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[m] for row in rows]
+
+
+def exact_hitting_matrix(P: np.ndarray) -> np.ndarray:
+    """Q by the absorbing-state solve of oracle_hitting_probability, in exact
+    rational arithmetic (n <= 8).
+
+    Each float entry of P is taken at its exact binary value, so the result
+    is the true Q of the chain the float kernels receive, correctly rounded.
+    """
+    n = P.shape[0]
+    if n > 8:
+        raise ValueError("exact oracle is limited to n <= 8")
+    F = [[Fraction(float(x)) for x in row] for row in P]
+    Q = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            rest = [x for x in range(n) if x not in (i, j)]
+            h = _solve_exact([[int(a == b) - F[a][b] for b in rest] for a in rest],
+                             [F[a][j] for a in rest])
+            Q[i, j] = float(F[i][j] + sum(F[i][x] * hx for x, hx in zip(rest, h)))
     return Q
 
 

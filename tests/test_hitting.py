@@ -5,14 +5,25 @@ from hpmetric.errors import SimulationDivergenceError
 from hpmetric.graphs import make_digraph, row_normalize
 from hpmetric.hitting import (WalkRecord, hitting_fast, hitting_reference,
                               simulate_hit_before_return, simulate_visit_counts)
+from hpmetric.metric import degenerate_pairs
 from hpmetric.stationary import stationary_distribution
 
 from conftest import directed_cycle, random_chain
-from oracles import oracle_hitting_matrix, oracle_hitting_probability
+from oracles import exact_hitting_matrix, oracle_hitting_matrix, oracle_hitting_probability
 
 
 def stack_reference(tm):
     return np.column_stack([hitting_reference(tm, j) for j in range(tm.n)])
+
+
+def two_k3_bridge(eps):
+    """Two triangles joined by a bridge of weight eps in each direction."""
+    W = np.zeros((6, 6))
+    W[:3, :3] = 1.0
+    W[3:, 3:] = 1.0
+    np.fill_diagonal(W, 0.0)
+    W[0, 3] = W[3, 0] = eps
+    return row_normalize(make_digraph(W))
 
 
 class TestReference:
@@ -59,15 +70,22 @@ class TestFast:
     def test_agrees_with_reference(self, n, seed):
         tm = random_chain(n, seed=seed)
         fast = hitting_fast(tm)
-        assert fast.smw_fallbacks == 0
+        assert not fast.used_reference
         assert np.abs(fast.Q - stack_reference(tm)).max() <= 1e-8
 
-    def test_directed_cycle(self):
-        tm = directed_cycle(7)
-        Q = hitting_fast(tm).Q
-        off = ~np.eye(7, dtype=bool)
-        assert np.allclose(Q[off], 1.0, atol=1e-12)
+    @pytest.mark.parametrize("n,atol", [(7, 1e-12), (2000, 1e-10)])
+    def test_directed_cycle(self, n, atol):
+        # Every Q = 1 entry comes out of the cancellation Z_jj - Z_ij; on a
+        # long cycle it must stay inside TOL_DEG so the whole cycle is one
+        # degeneracy class.
+        tm = directed_cycle(n)
+        result = hitting_fast(tm)
+        assert not result.used_reference
+        Q = result.Q
+        off = ~np.eye(n, dtype=bool)
+        assert np.allclose(Q[off], 1.0, atol=atol)
         assert np.allclose(np.diag(Q), 0.0)
+        assert len(degenerate_pairs(result, stationary_distribution(tm)).classes) == 1
 
     def test_detailed_balance_n50(self):
         tm = random_chain(50, seed=9)
@@ -98,18 +116,22 @@ class TestFast:
         assert hitting_fast(tm).Q[0, 0] == 0.0
 
     def test_condition_fallback_on_near_decoupled_chain(self):
-        # Two cliques joined by nearly-zero mass: cond(M(0)) ~ 1/eps forces
-        # the all-columns reference path.
-        eps = 1e-14
-        W = np.zeros((6, 6))
-        W[:3, :3] = 1.0
-        W[3:, 3:] = 1.0
-        np.fill_diagonal(W, 0.0)
-        W[0, 3] = W[3, 0] = eps
-        tm = row_normalize(make_digraph(W))
+        # Two cliques joined by nearly-zero mass: cond(I - P + 11^T/n) ~ 1/eps
+        # forces the all-columns reference path.
+        tm = two_k3_bridge(1e-14)
         result = hitting_fast(tm)
         assert result.used_reference
         assert np.abs(result.Q - stack_reference(tm)).max() == 0.0
+
+    @pytest.mark.parametrize("eps,reference,rtol", [(1e-4, False, 1e-10),
+                                                    (1e-12, True, 1e-14)])
+    def test_bridge_chain_against_exact_oracle(self, eps, reference, rtol):
+        tm = two_k3_bridge(eps)
+        result = hitting_fast(tm)
+        assert result.used_reference == reference
+        exact = exact_hitting_matrix(tm.P)
+        off = ~np.eye(6, dtype=bool)
+        assert (np.abs(result.Q - exact)[off] / exact[off]).max() <= rtol
 
 
 class TestWalkRecord:
