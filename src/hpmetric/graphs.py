@@ -7,6 +7,7 @@ is refused above ``DENSE_LIMIT`` nodes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,11 +60,19 @@ def make_digraph(weights, labels=None) -> WeightedDigraph:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic matrix over a strongly connected support."""
+    """Row-stochastic matrix over a strongly connected support.
+
+    ``P`` must not be changed after construction: ``__post_init__``
+    validates it once, and the per-chain results of ``per_chain`` functions
+    (the stationary distribution and Q) are memoized on the instance and
+    returned read-only.  A new chain, e.g. a fresh ``row_normalize``, starts
+    with an empty memo.
+    """
 
     n: int
     P: np.ndarray
     labels: list = field(default=None)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.labels is None:
@@ -85,6 +94,26 @@ class TransitionMatrix:
             raise IrreducibilityError(
                 f"support graph has {len(comps)} strongly connected components"
             )
+
+
+def per_chain(compute):
+    """Memoize ``compute(tm)`` on the chain ``tm``.
+
+    The first call computes; later calls on the same TransitionMatrix return
+    the same object.  A call that raises stores nothing.
+    """
+
+    key = f"{compute.__module__}.{compute.__qualname__}"
+
+    @functools.wraps(compute)
+    def memoized(tm: TransitionMatrix):
+        result = tm._memo.get(key)
+        if result is None:
+            # setdefault: callers racing on one chain all get the first result.
+            result = tm._memo.setdefault(key, compute(tm))
+        return result
+
+    return memoized
 
 
 def strongly_connected_components(support) -> list:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import NumericalError, SimulationDivergenceError
-from .graphs import TransitionMatrix
+from .graphs import TransitionMatrix, per_chain
 from .rng import stream
 
 STEP_CAP = 10_000_000
@@ -82,6 +82,7 @@ def hitting_reference(tm: TransitionMatrix, j: int) -> np.ndarray:
     return col
 
 
+@per_chain
 def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     """Full Q in O(n^3) from one dense inverse, by the escape-probability
     identity Q[i, j] = 1 / (phi_i (m_ij + m_ji)).
@@ -91,7 +92,8 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     Chains*, 1960; Aldous & Fill, *Reversible Markov Chains and Random Walks
     on Graphs*, ch. 2).  Z is overwritten in place by m, then by Q.  Falls
     back to per-column reference solves when the inverted matrix is too
-    ill-conditioned.
+    ill-conditioned.  Solved once per chain: later calls on the same ``tm``
+    return the same result, whose ``Q`` is read-only.
     """
     n = tm.n
     G = -tm.P
@@ -108,6 +110,7 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
         Q = np.empty((n, n))
         for j in range(n):
             Q[:, j] = hitting_reference(tm, j)
+        Q.flags.writeable = False
         return HittingProbabilities(Q=Q, used_reference=True)
 
     phi = Z.sum(axis=0) / n
@@ -118,6 +121,7 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     np.fill_diagonal(Z, np.inf)
     Z *= phi[:, None]
     np.reciprocal(Z, out=Z)
+    Z.flags.writeable = False
     return HittingProbabilities(Q=Z)
 
 

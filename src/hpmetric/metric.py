@@ -70,15 +70,20 @@ def hp_similarity(Q, phi: StationaryDistribution, beta: float) -> HpSimilarity:
         raise InputError(f"beta must be >= 0.5, got {beta}")
     Qm = _q_matrix(Q)
     p = phi.phi
-    A = (p**beta)[:, None] * (p ** (beta - 1.0))[None, :] * Qm
+    A = np.multiply.outer(p**beta, p ** (beta - 1.0))
+    A *= Qm
     np.fill_diagonal(A, 1.0)
-    asym = float(np.abs(A - A.T).max())
+    # One n x n buffer: first |A - A^T|, then (A + A^T) / 2.
+    S = np.subtract(A, A.T)
+    np.abs(S, out=S)
+    asym = float(S.max())
     if asym > SYMMETRY_CONSISTENCY_TOL:
         raise NumericalError(
             f"similarity asymmetry {asym:.3e} exceeds {SYMMETRY_CONSISTENCY_TOL:.0e}; "
             "Q and phi are inconsistent"
         )
-    A = (A + A.T) / 2.0
+    A = np.add(A, A.T, out=S)
+    A /= 2.0
     if beta == 0.5 and A.max() > 1.0 + 1e-12:
         raise NumericalError(
             f"similarity at beta=1/2 exceeds 1 by {A.max() - 1.0:.3e}"

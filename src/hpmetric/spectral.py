@@ -60,11 +60,16 @@ def symmetrize(tm: TransitionMatrix, phi: StationaryDistribution, kind: str,
 def laplacian(M: np.ndarray) -> np.ndarray:
     """L = D - M for a symmetric nonnegative adjacency M."""
     M = np.asarray(M, dtype=float)
-    if np.abs(M - M.T).max() > 1e-10:
+    # One n x n buffer: first |M - M^T|, then L.
+    L = np.subtract(M, M.T)
+    np.abs(L, out=L)
+    if L.max() > 1e-10:
         raise InputError("adjacency must be symmetric")
     if M.min() < 0:
         raise InputError("adjacency must be nonnegative")
-    return np.diag(M.sum(axis=1)) - M
+    np.subtract(0.0, M, out=L)
+    L.flat[:: M.shape[0] + 1] += M.sum(axis=1)
+    return L
 
 
 def operator_laplacian(op: SymmetricOperator) -> np.ndarray:
@@ -78,7 +83,9 @@ def fiedler_vector(L: np.ndarray, zero_threshold: float = 1e-8):
     (ties broken by lowest index).  Returns the vector and its sign pattern
     in {-1, 0, +1}, where entries below ``zero_threshold * max|v|`` count as
     zero.  Warns when the second and third eigenvalues nearly coincide,
-    since the pattern is then basis dependent.
+    since the pattern is then basis dependent.  Only the three smallest
+    eigenpairs are computed: a subset dense solve up to ``DENSE_EIG_LIMIT``
+    nodes, shift-invert Lanczos above it.
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
@@ -86,8 +93,7 @@ def fiedler_vector(L: np.ndarray, zero_threshold: float = 1e-8):
         raise InputError("need at least two nodes for a Fiedler vector")
     k = min(3, n)
     if n <= DENSE_EIG_LIMIT:
-        vals, vecs = la.eigh(L)
-        vals, vecs = vals[:k], vecs[:, :k]
+        vals, vecs = la.eigh(L, subset_by_index=[0, k - 1])
     else:
         Ls = sp.csr_matrix(L) if not sp.issparse(L) else L
         v0 = np.full(n, 1.0 / np.sqrt(n))

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import NumericalError
-from .graphs import TransitionMatrix
+from .graphs import TransitionMatrix, per_chain
 
 RESIDUAL_TOL = 1e-10
 
@@ -30,12 +30,15 @@ class StationaryDistribution:
         return self.phi.shape[0]
 
 
+@per_chain
 def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
     """Solve P^T phi = phi, sum(phi) = 1 by LU with partial pivoting.
 
     The balance system has rank n-1 for an irreducible chain; the last
     equation is replaced by the normalization constraint, which keeps the
-    system nonsingular regardless of periodicity.
+    system nonsingular regardless of periodicity.  Solved once per chain:
+    later calls on the same ``tm`` return the same result, whose ``phi`` is
+    read-only.
     """
     n = tm.n
     A = tm.P.T - np.eye(n)
@@ -60,4 +63,5 @@ def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
         raise NumericalError(
             f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
+    phi.flags.writeable = False
     return StationaryDistribution(phi=phi)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
-from hpmetric.errors import SimulationDivergenceError
+from hpmetric.errors import NumericalError, SimulationDivergenceError
+from hpmetric.generators import gen_random_strongly_connected
 from hpmetric.graphs import make_digraph, row_normalize
 from hpmetric.hitting import (WalkRecord, hitting_fast, hitting_reference,
                               simulate_hit_before_return, simulate_visit_counts)
@@ -107,8 +109,11 @@ class TestFast:
         assert submultiplicativity_slack(hitting_fast(tm).Q) <= 1e-10
 
     def test_deterministic(self):
-        tm = random_chain(30, seed=5)
-        assert np.array_equal(hitting_fast(tm).Q, hitting_fast(tm).Q)
+        # Two chains built from one graph solve separately, to the same bits.
+        g = gen_random_strongly_connected(30, seed=5)
+        a, b = hitting_fast(row_normalize(g)), hitting_fast(row_normalize(g))
+        assert a is not b
+        assert np.array_equal(a.Q, b.Q)
 
     def test_single_state(self):
         tm = row_normalize(make_digraph([[2.0]]))
@@ -132,6 +137,64 @@ class TestFast:
         exact = exact_hitting_matrix(tm.P)
         off = ~np.eye(6, dtype=bool)
         assert (np.abs(result.Q - exact)[off] / exact[off]).max() <= rtol
+
+
+def count_chain_solves(monkeypatch):
+    """Record the size of every stationary solve, and of every inverse of a
+    matrix with unit row sums, which is I - P + 11^T/n for a chain P; the
+    reference path's column matrices have zero row sums outside row j."""
+    sizes = {"phi": [], "Q": []}
+    inv, solve = la.inv, la.solve
+
+    def spy_inv(M, *args, **kwargs):
+        if np.allclose(np.asarray(M).sum(axis=1), 1.0):
+            sizes["Q"].append(M.shape[0])
+        return inv(M, *args, **kwargs)
+
+    def spy_solve(A, b, *args, **kwargs):
+        sizes["phi"].append(A.shape[0])
+        return solve(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(la, "inv", spy_inv)
+    monkeypatch.setattr(la, "solve", spy_solve)
+    return sizes
+
+
+class TestMemo:
+    def test_second_call_returns_same_object(self, monkeypatch):
+        sizes = count_chain_solves(monkeypatch)
+        tm = random_chain(20, seed=3)
+        assert hitting_fast(tm) is hitting_fast(tm)
+        assert sizes["Q"] == [20]
+
+    @pytest.mark.parametrize("eps,reference", [(1.0, False), (1e-14, True)])
+    def test_result_is_read_only(self, eps, reference):
+        result = hitting_fast(two_k3_bridge(eps))
+        assert result.used_reference == reference
+        with pytest.raises(ValueError):
+            result.Q[0, 1] = 0.5
+
+    def test_failed_call_stores_nothing(self, monkeypatch):
+        tm = random_chain(10, seed=4)
+
+        def singular(M, *args, **kwargs):
+            raise la.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(la, "inv", singular)
+        with pytest.raises(NumericalError):
+            hitting_fast(tm)
+        monkeypatch.undo()
+        assert np.array_equal(hitting_fast(tm).Q, hitting_fast(random_chain(10, seed=4)).Q)
+
+    def test_run_levels_solves_chain_and_quotient_once(self, monkeypatch, glued_342):
+        from hpmetric.verify import LEVELS, run_levels
+
+        sizes = count_chain_solves(monkeypatch)
+        report = run_levels(glued_342, LEVELS, walks=200)
+        assert report["ok"]
+        n_quotient = report["levels"]["quotient"]["n_classes"]
+        assert n_quotient < glued_342.n
+        assert sizes == {"phi": [glued_342.n, n_quotient], "Q": [glued_342.n, n_quotient]}
 
 
 class TestWalkRecord:

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
+from hpmetric import hitting, spectral
 from hpmetric.errors import InputError
+from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles
 from hpmetric.graphs import make_digraph, row_normalize
+from hpmetric.hitting import hitting_fast
+from hpmetric.metric import hp_similarity
 from hpmetric.spectral import (fiedler_vector, laplacian, operator_laplacian,
                                symmetrize)
 from hpmetric.stationary import stationary_distribution
@@ -60,10 +65,33 @@ class TestSymmetrize:
         assert A[3, 7] == pytest.approx(0.5, abs=1e-10)
         assert A[0, 3] == pytest.approx(2 ** -0.5, abs=1e-10)
 
+    def test_hp_reuses_the_chains_q(self, monkeypatch, glued_342):
+        phi = stationary_distribution(glued_342)
+        A = hp_similarity(hitting_fast(glued_342), phi, 0.5).A
+        inverses = []
+        inv = hitting.la.inv
+
+        def spy(M, *args, **kwargs):
+            inverses.append(M)
+            return inv(M, *args, **kwargs)
+
+        monkeypatch.setattr(hitting.la, "inv", spy)
+        M = symmetrize(glued_342, phi, "hp", 0.5).M
+        assert inverses == []
+        assert np.array_equal(M, A)
+
     def test_hp_requires_beta(self, glued_342):
         phi = stationary_distribution(glued_342)
         with pytest.raises(InputError):
             symmetrize(glued_342, phi, "hp")
+
+
+def random_adjacency(n, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.random((n, n))
+    M = (M + M.T) / 2
+    np.fill_diagonal(M, 0.0)
+    return M
 
 
 class TestLaplacian:
@@ -78,10 +106,7 @@ class TestLaplacian:
         assert L[0, 1] == -1
 
     def test_row_sums_zero_and_psd(self):
-        rng = np.random.default_rng(8)
-        M = rng.random((20, 20))
-        M = (M + M.T) / 2
-        np.fill_diagonal(M, 0.0)
+        M = random_adjacency(20, 8)
         L = laplacian(M)
         assert np.abs(L.sum(axis=1)).max() <= 1e-12
         assert np.linalg.eigvalsh(L).min() >= -1e-10
@@ -99,10 +124,7 @@ class TestFiedler:
         assert v[np.argmax(np.abs(v))] > 0
 
     def test_deterministic_sign_convention(self):
-        rng = np.random.default_rng(1)
-        M = rng.random((15, 15))
-        M = (M + M.T) / 2
-        np.fill_diagonal(M, 0.0)
+        M = random_adjacency(15, 1)
         L = laplacian(M)
         v1, _ = fiedler_vector(L)
         v2, _ = fiedler_vector(L)
@@ -117,13 +139,16 @@ class TestFiedler:
         assert len(set(signs[3:7])) == 1 and len(set(signs[7:])) == 1
         assert signs[3] == -signs[7] != 0
 
+    def test_near_degenerate_warning_on_k4(self):
+        # The K4 Laplacian has eigenvalues 0, 4, 4, 4.
+        L = laplacian(np.ones((4, 4)) - np.eye(4))
+        with pytest.warns(RuntimeWarning, match="nearly coincide"):
+            fiedler_vector(L)
+
     def test_large_sparse_path_agrees_with_dense(self):
         from hpmetric import spectral
 
-        rng = np.random.default_rng(3)
-        M = rng.random((60, 60))
-        M = (M + M.T) / 2
-        np.fill_diagonal(M, 0.0)
+        M = random_adjacency(60, 3)
         L = laplacian(M)
         v_dense, _ = fiedler_vector(L)
         original = spectral.DENSE_EIG_LIMIT
@@ -133,3 +158,55 @@ class TestFiedler:
         finally:
             spectral.DENSE_EIG_LIMIT = original
         assert np.abs(np.abs(v_dense) - np.abs(v_sparse)).max() <= 1e-8
+
+
+def glued_hp_laplacian(beta):
+    tm = row_normalize(gen_glued_cycles(GluedCyclesSpec(3, 4, 2)))
+    return operator_laplacian(symmetrize(tm, stationary_distribution(tm), "hp", beta))
+
+
+def chung_laplacian(n, seed):
+    tm = random_chain(n, seed=seed)
+    return symmetrize(tm, stationary_distribution(tm), "chung").M
+
+
+SUBSET_CASES = {
+    "glued-hp-0.5": lambda: glued_hp_laplacian(0.5),
+    "glued-hp-1": lambda: glued_hp_laplacian(1.0),
+    "random-15": lambda: laplacian(random_adjacency(15, 1)),
+    "random-60": lambda: laplacian(random_adjacency(60, 3)),
+    "chung-300": lambda: chung_laplacian(300, 11),
+}
+
+
+class TestFiedlerSubset:
+    @pytest.mark.parametrize("case", list(SUBSET_CASES))
+    def test_matches_full_eigendecomposition(self, monkeypatch, case):
+        L = SUBSET_CASES[case]()
+        ref_vals, ref_vecs = la.eigh(L)
+        ref = ref_vecs[:, 1] / la.norm(ref_vecs[:, 1])
+
+        calls = []
+        eigh = spectral.la.eigh
+
+        def spy(*args, **kwargs):
+            vals, vecs = eigh(*args, **kwargs)
+            calls.append((kwargs, vals))
+            return vals, vecs
+
+        monkeypatch.setattr(spectral.la, "eigh", spy)
+        v, _ = fiedler_vector(L)
+        monkeypatch.undo()
+
+        (kwargs, vals), = calls
+        assert kwargs == {"subset_by_index": [0, 2]}
+        want = ref_vals[:3]
+        assert np.all(np.abs(vals - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+        # The glued chains' eight branch entries tie in magnitude up to
+        # rounding, so which one the sign convention keys on is set by the
+        # last bits of each solve: compare up to sign, then check the
+        # convention on v itself.
+        if v @ ref < 0:
+            ref = -ref
+        assert np.abs(v - ref).max() <= 1e-10
+        assert v[np.argmax(np.abs(v))] > 0

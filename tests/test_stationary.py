@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hpmetric.generators import gen_random_strongly_connected
 from hpmetric.graphs import make_digraph, row_normalize
 from hpmetric.stationary import stationary_distribution
 
@@ -58,7 +59,18 @@ def test_scale_invariance():
 
 
 def test_deterministic():
-    tm = random_chain(30, seed=4)
-    a = stationary_distribution(tm).phi
-    b = stationary_distribution(tm).phi
-    assert np.array_equal(a, b)
+    # Two chains built from one graph solve separately, to the same bits.
+    g = gen_random_strongly_connected(30, seed=4)
+    a = stationary_distribution(row_normalize(g))
+    b = stationary_distribution(row_normalize(g))
+    assert a is not b
+    assert np.array_equal(a.phi, b.phi)
+
+
+def test_memoized_and_read_only():
+    tm = random_chain(20, seed=6)
+    phi = stationary_distribution(tm)
+    assert stationary_distribution(tm) is phi
+    with pytest.raises(ValueError):
+        phi.phi[0] = 0.5
+
