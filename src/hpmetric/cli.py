@@ -44,12 +44,24 @@ def _load_chain(args):
     return row_normalize(g)
 
 
-def _add_input_flags(p):
-    p.add_argument("--in", dest="input", required=True,
+def _add_input_flags(p, required=True):
+    p.add_argument("--in", dest="input", required=required,
                    help="edge list path ('-' for stdin)")
     p.add_argument("--format", choices=("csv", "matrix-market"), default="csv")
     p.add_argument("--scc", action="store_true",
                    help="restrict the input to its largest strongly connected component")
+
+
+def _add_model_flags(p, n_default):
+    """Sizes and weights of the generated models, shared by generate and verify."""
+    p.add_argument("--nb", type=int, default=3)
+    p.add_argument("--nc", type=int, default=4)
+    p.add_argument("--C", type=int, default=2)
+    p.add_argument("--n-er", type=int, default=20, dest="n_er")
+    p.add_argument("--n-cycle", type=int, default=8, dest="n_cycle")
+    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--w", type=float, default=3.0)
+    p.add_argument("--n", type=int, default=n_default)
 
 
 def cmd_stationary(args) -> int:
@@ -415,15 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--truth", help="write truth labels (planted model)")
     p.add_argument("--coords", help="write coordinates (geometric model)")
-    p.add_argument("--nb", type=int, default=3)
-    p.add_argument("--nc", type=int, default=4)
-    p.add_argument("--C", type=int, default=2)
-    p.add_argument("--n-er", type=int, default=20, dest="n_er")
-    p.add_argument("--n-cycle", type=int, default=8, dest="n_cycle")
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--w", type=float, default=3.0)
+    _add_model_flags(p, n_default=300)
     p.add_argument("--self-loops", action="store_true", dest="self_loops")
-    p.add_argument("--n", type=int, default=300)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--p-in", type=float, default=None, dest="p_in")
     p.add_argument("--p-out", type=float, default=None, dest="p_out")
@@ -454,18 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("verify", help="run invariant suites; exit 1 on violation")
-    p.add_argument("--in", dest="input", help="edge list path")
-    p.add_argument("--format", choices=("csv", "matrix-market"), default="csv")
-    p.add_argument("--scc", action="store_true")
+    _add_input_flags(p, required=False)
     p.add_argument("--model", choices=("glued", "er-cycle", "complete", "random"))
-    p.add_argument("--nb", type=int, default=3)
-    p.add_argument("--nc", type=int, default=4)
-    p.add_argument("--C", type=int, default=2)
-    p.add_argument("--n-er", type=int, default=20, dest="n_er")
-    p.add_argument("--n-cycle", type=int, default=8, dest="n_cycle")
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--w", type=float, default=3.0)
-    p.add_argument("--n", type=int, default=50)
+    _add_model_flags(p, n_default=50)
     p.add_argument("--levels", default="identity,metric")
     p.add_argument("--walks", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)

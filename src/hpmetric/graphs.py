@@ -125,9 +125,9 @@ def strongly_connected_components(support) -> list:
     """
     count, labels = connected_components(sp.csr_matrix(support), directed=True,
                                          connection="strong")
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=count))
-    return [order[start:end].tolist() for start, end in zip(np.r_[0, ends[:-1]], ends)]
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=count)).tolist()
+    return [order[start:end] for start, end in zip([0, *ends[:-1]], ends)]
 
 
 def largest_scc(g: WeightedDigraph):

@@ -4,13 +4,12 @@ Two exact paths are provided: a per-column reference solve, and a fast path
 that inverts the single matrix I - P + 11^T/n and reads every entry of Q off
 that inverse through the escape-probability identity
 Q[i, j] = 1 / (phi_i (m_ij + m_ji)), with m the mean first passage times
-(Kemeny & Snell, *Finite Markov Chains*; Aldous & Fill, ch. 2).  Monte Carlo
-walk simulation serves as an independent statistical oracle.
+(Kemeny & Snell, *Finite Markov Chains*; Aldous & Fill, ch. 2).  A batched
+Monte Carlo walker serves as an independent statistical oracle.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +42,6 @@ class HittingProbabilities:
     @property
     def n(self) -> int:
         return self.Q.shape[0]
-
-
-@dataclass(frozen=True)
-class WalkRecord:
-    start: int
-    hit_before_return: bool
-    visits_to_target: int
-
-    def __post_init__(self):
-        if self.visits_to_target >= 1 and not self.hit_before_return:
-            raise ValueError("a visited target must have been hit")
 
 
 def _column_matrix(P: np.ndarray, j: int) -> np.ndarray:
@@ -125,31 +113,60 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     return HittingProbabilities(Q=Z)
 
 
-def _cumulative_rows(P: np.ndarray) -> list:
-    rows = []
-    for i in range(P.shape[0]):
-        c = np.cumsum(P[i]).tolist()
-        c[-1] = 1.0
-        rows.append(c)
-    return rows
+def _sampler(P: np.ndarray):
+    """Vectorised next-state draw for P: ``draw(states, u)`` moves each walker
+    at ``states[w]`` with its uniform ``u[w]`` in [0, 1).
+
+    The nonzeros of P, row after row, carry their row's cumulative sums offset
+    by the row index, so row s spans (s, s + 1] and one ``searchsorted`` of
+    s + u over all rows finds the first nonzero whose cumulative sum exceeds
+    u.  The result is clipped to the row's last nonzero, since s + u can round
+    up to s + 1.  Offsetting by s costs resolution: transition probabilities
+    are resolved to about n * 2**-52, not 2**-53.
+    """
+    rows, cols = np.nonzero(P)
+    last = np.cumsum(np.count_nonzero(P, axis=1)) - 1
+    cum = np.minimum(np.cumsum(P, axis=1)[rows, cols], 1.0)
+    cum[last] = 1.0
+    cum += rows
+
+    def draw(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(cum, states + u, side="right")
+        return cols[np.minimum(k, last[states])]
+
+    return draw
 
 
-def run_walk(cum_rows, i: int, j: int, rng, stop_at_target: bool) -> WalkRecord:
-    """One excursion from i: stops at the first return to i, or earlier at the
-    first arrival at j when ``stop_at_target``."""
-    state = i
-    visits = 0
-    rand = rng.random
+def _excursions(tm: TransitionMatrix, i: int, j: int, walks: int, seed: int,
+                stop_at_target: bool) -> np.ndarray:
+    """Visits to j on each of ``walks`` excursions from i.
+
+    An excursion stops at the first return to i, or earlier at the first
+    arrival at j when ``stop_at_target``.  All walks advance together, one
+    step per iteration, drawing one uniform per running walk from the single
+    stream (seed, 0); the result is a deterministic function of
+    (P, i, j, walks, seed).  Any excursion longer than ``STEP_CAP`` steps
+    raises SimulationDivergenceError.
+    """
+    if i == j:
+        raise ValueError("source and target must differ")
+    if walks < 1:
+        raise ValueError("need at least one walk")
+    draw = _sampler(tm.P)
+    rng = stream(seed, 0)
+    visits = np.zeros(walks, dtype=np.int64)
+    active = np.arange(walks)
+    states = np.full(walks, i)
     for _ in range(STEP_CAP):
-        state = bisect_right(cum_rows[state], rand())
-        if state == j:
-            visits += 1
-            if stop_at_target:
-                return WalkRecord(start=i, hit_before_return=True, visits_to_target=visits)
-        elif state == i:
-            return WalkRecord(
-                start=i, hit_before_return=visits >= 1, visits_to_target=visits
-            )
+        states = draw(states, rng.random(active.size))
+        at_target = states == j
+        visits[active[at_target]] += 1
+        running = states != i
+        if stop_at_target:
+            running &= ~at_target
+        active, states = active[running], states[running]
+        if not active.size:
+            return visits
     raise SimulationDivergenceError(
         f"walk from {i} exceeded {STEP_CAP} steps without returning"
     )
@@ -158,19 +175,11 @@ def run_walk(cum_rows, i: int, j: int, rng, stop_at_target: bool) -> WalkRecord:
 def simulate_hit_before_return(tm: TransitionMatrix, i: int, j: int, walks: int, seed: int):
     """Monte Carlo estimate of Q[i, j] with its binomial standard error.
 
-    Each walk runs on its own counter-based stream keyed by (seed, walk
-    index), so results are reproducible under any execution order.
+    Reproducible: the estimate depends only on (P, i, j, walks, seed).  Runs
+    with different ``walks`` share no prefix.
     """
-    if i == j:
-        raise ValueError("source and target must differ")
-    if walks < 1:
-        raise ValueError("need at least one walk")
-    cum_rows = _cumulative_rows(tm.P)
-    hits = 0
-    for w in range(walks):
-        rec = run_walk(cum_rows, i, j, stream(seed, w), stop_at_target=True)
-        hits += rec.hit_before_return
-    q = hits / walks
+    hits = np.count_nonzero(_excursions(tm, i, j, walks, seed, stop_at_target=True))
+    q = float(hits) / walks
     se = float(np.sqrt(q * (1.0 - q) / walks))
     return q, se
 
@@ -179,17 +188,10 @@ def simulate_visit_counts(tm: TransitionMatrix, i: int, j: int, walks: int, seed
     """Mean number of visits to j per excursion from i, with standard error.
 
     The expectation equals phi[j] / phi[i], giving an independent check of
-    the stationary distribution.
+    the stationary distribution.  Reproducible in the same way as
+    ``simulate_hit_before_return``.
     """
-    if i == j:
-        raise ValueError("source and target must differ")
-    if walks < 1:
-        raise ValueError("need at least one walk")
-    cum_rows = _cumulative_rows(tm.P)
-    counts = np.empty(walks)
-    for w in range(walks):
-        rec = run_walk(cum_rows, i, j, stream(seed, w), stop_at_target=False)
-        counts[w] = rec.visits_to_target
+    counts = _excursions(tm, i, j, walks, seed, stop_at_target=False)
     mean = float(counts.mean())
     se = float(counts.std(ddof=1) / np.sqrt(walks)) if walks > 1 else 0.0
     return mean, se

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, ToleranceError
+from .graphs import strongly_connected_components
 from .hitting import HittingProbabilities
 from .stationary import StationaryDistribution
 from .rng import stream
@@ -156,27 +157,10 @@ def degenerate_pairs(Q, phi: StationaryDistribution, tol_deg: float = TOL_DEG) -
     class, otherwise the grouping is a tolerance artifact.
     """
     Qm = _q_matrix(Q)
-    n = Qm.shape[0]
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     both = np.minimum(Qm, Qm.T)
-    linked = np.argwhere(both >= 1.0 - tol_deg)
-    for i, j in linked:
-        if i < j:
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    groups = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    classes = sorted((sorted(g) for g in groups.values()), key=lambda c: c[0])
+    # both is symmetric, so its strong components are the connected ones.
+    classes = sorted(strongly_connected_components(both >= 1.0 - tol_deg),
+                     key=lambda c: c[0])
 
     p = phi.phi
     for cls in classes:

@@ -79,8 +79,9 @@ def operator_laplacian(op: SymmetricOperator) -> np.ndarray:
 def fiedler_vector(L: np.ndarray, zero_threshold: float = 1e-8):
     """Unit eigenvector of the second-smallest Laplacian eigenvalue.
 
-    The global sign is fixed so the largest-magnitude entry is positive
-    (ties broken by lowest index).  Returns the vector and its sign pattern
+    The global sign is fixed so the largest-magnitude entry is positive;
+    entries within 1e-10 * max|v| of the largest count as tied, and the
+    lowest index among them wins.  Returns the vector and its sign pattern
     in {-1, 0, +1}, where entries below ``zero_threshold * max|v|`` count as
     zero.  Warns when the second and third eigenvalues nearly coincide,
     since the pattern is then basis dependent.  Only the three smallest
@@ -110,10 +111,11 @@ def fiedler_vector(L: np.ndarray, zero_threshold: float = 1e-8):
         )
     v = vecs[:, 1]
     v = v / la.norm(v)
-    lead = np.argmax(np.abs(v))
+    mag = np.abs(v)
+    lead = np.argmax(mag >= mag.max() * (1.0 - 1e-10))
     if v[lead] < 0:
         v = -v
-    cut = zero_threshold * np.abs(v).max()
+    cut = zero_threshold * mag.max()
     signs = np.zeros(n, dtype=np.int8)
     signs[v > cut] = 1
     signs[v < -cut] = -1

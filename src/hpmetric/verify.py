@@ -125,18 +125,23 @@ def level_quotient(tm: TransitionMatrix, tol_deg: float = 1e-9) -> dict:
     }
 
 
+def _oracle_pairs(n: int, pairs: int, rng) -> list:
+    """``pairs`` distinct ordered pairs i != j drawn by ``rng``, or all of them
+    when there are no more.  Pair number k, in row-major order of the
+    n(n - 1) off-diagonal pairs, is i = k // (n - 1), j = r + (r >= i) with
+    r = k % (n - 1).
+    """
+    total = n * (n - 1)
+    ks = rng.choice(total, size=pairs, replace=False) if total > pairs else np.arange(total)
+    i, r = np.divmod(ks, n - 1)
+    return list(zip(i.tolist(), (r + (r >= i)).tolist()))
+
+
 def level_oracle(tm: TransitionMatrix, walks: int = 20000, seed: int = 0,
                  pairs: int = 6) -> dict:
     phi = stationary_distribution(tm)
     Q = hitting_fast(tm).Q
-    n = tm.n
-    rng = stream(seed, 2**32)
-    all_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    if len(all_pairs) > pairs:
-        idx = rng.choice(len(all_pairs), size=pairs, replace=False)
-        tested = [all_pairs[k] for k in idx]
-    else:
-        tested = all_pairs
+    tested = _oracle_pairs(tm.n, pairs, stream(seed, 2**32))
     hit_checks = []
     for t, (i, j) in enumerate(tested):
         q_hat, se = simulate_hit_before_return(tm, i, j, walks, seed + t)

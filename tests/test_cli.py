@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from hpmetric.cli import main
+from hpmetric.cli import build_parser, main
 from hpmetric.files import read_dense_csv, write_dense_csv
 
 
@@ -211,3 +212,44 @@ class TestVerifyAndExitCodes:
                      "--out", str(out)]) == 0
         vals = [float(l.split(",")[1]) for l in out.read_text().splitlines()[1:]]
         assert np.allclose(vals, 1 / 3)
+
+
+MODEL_FLAGS = {"--nb": 3, "--nc": 4, "--C": 2, "--n-er": 20, "--n-cycle": 8,
+               "--p": 0.5, "--w": 3.0}
+
+PARSER_FLAGS = {
+    "generate": {
+        "--model": (None, ("glued", "er-cycle", "planted", "geometric"), True),
+        "--seed": (0, None, False), "--out": (None, None, True),
+        "--truth": (None, None, False), "--coords": (None, None, False),
+        **{flag: (default, None, False) for flag, default in MODEL_FLAGS.items()},
+        "--self-loops": (False, None, False), "--n": (300, None, False),
+        "--k": (3, None, False), "--p-in": (None, None, False),
+        "--p-out": (None, None, False), "--rho": (None, None, False),
+        "--delta": (None, None, False), "--domain": ("circle", None, False),
+        "--gamma": (1.0, None, False),
+    },
+    "verify": {
+        "--in": (None, None, False),
+        "--format": ("csv", ("csv", "matrix-market"), False),
+        "--scc": (False, None, False),
+        "--model": (None, ("glued", "er-cycle", "complete", "random"), False),
+        **{flag: (default, None, False) for flag, default in MODEL_FLAGS.items()},
+        "--n": (50, None, False), "--levels": ("identity,metric", None, False),
+        "--walks": (20000, None, False), "--seed": (0, None, False),
+        "--beta": ("0.5,0.75,1.0", None, False), "--tol-deg": (1e-9, None, False),
+    },
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(PARSER_FLAGS))
+    def test_flags_and_defaults_pinned(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {}
+        for action in sub.choices[command]._actions:
+            if action.dest != "help":
+                (flag,) = action.option_strings
+                got[flag] = (action.default, action.choices, action.required)
+        assert got == PARSER_FLAGS[command]

@@ -5,7 +5,7 @@ import scipy.linalg as la
 from hpmetric.errors import NumericalError, SimulationDivergenceError
 from hpmetric.generators import gen_random_strongly_connected
 from hpmetric.graphs import make_digraph, row_normalize
-from hpmetric.hitting import (WalkRecord, hitting_fast, hitting_reference,
+from hpmetric.hitting import (hitting_fast, hitting_reference,
                               simulate_hit_before_return, simulate_visit_counts)
 from hpmetric.metric import degenerate_pairs
 from hpmetric.stationary import stationary_distribution
@@ -197,12 +197,6 @@ class TestMemo:
         assert sizes == {"phi": [glued_342.n, n_quotient], "Q": [glued_342.n, n_quotient]}
 
 
-class TestWalkRecord:
-    def test_visit_implies_hit(self):
-        with pytest.raises(ValueError):
-            WalkRecord(start=0, hit_before_return=False, visits_to_target=2)
-
-
 class TestSimulation:
     def test_two_cycle_deterministic(self, two_cycle):
         q, se = simulate_hit_before_return(two_cycle, 0, 1, walks=100, seed=1)
@@ -239,6 +233,10 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_hit_before_return(k3, 1, 1, walks=10, seed=0)
 
+    def test_no_walks_rejected(self, k3):
+        with pytest.raises(ValueError):
+            simulate_visit_counts(k3, 0, 1, walks=0, seed=0)
+
     def test_step_cap(self):
         from hpmetric import hitting
 
@@ -250,3 +248,21 @@ class TestSimulation:
                 simulate_hit_before_return(tm, 0, 2, walks=1, seed=0)
         finally:
             hitting.STEP_CAP = original
+
+
+class TestDraw:
+    def test_matches_bisect_on_each_rows_cumsum(self):
+        from bisect import bisect_right
+
+        from hpmetric.hitting import _sampler
+
+        # Rows 0 and 1 have a zero between two positive entries.
+        tm = row_normalize(make_digraph([[1, 0, 3], [1, 0, 1], [0, 1, 0]]))
+        draw = _sampler(tm.P)
+        for r in range(tm.n):
+            cum = np.cumsum(tm.P[r])
+            us = [0.0, *cum[cum < 1.0], np.nextafter(1.0, 0.0)]
+            got = draw(np.full(len(us), r), np.array(us))
+            want = [bisect_right(cum.tolist(), u) for u in us]
+            assert got.tolist() == want
+            assert np.all(tm.P[r, got] > 0.0)

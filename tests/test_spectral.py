@@ -120,8 +120,10 @@ class TestFiedler:
     def test_path3_pattern(self):
         L = laplacian(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
         v, signs = fiedler_vector(L)
-        assert list(signs) == [-1, 0, 1]
-        assert v[np.argmax(np.abs(v))] > 0
+        # v = (1, 0, -1) / sqrt(2): the ends tie in magnitude, so the lowest
+        # index leads.
+        assert list(signs) == [1, 0, -1]
+        assert v[0] > 0
 
     def test_deterministic_sign_convention(self):
         M = random_adjacency(15, 1)
@@ -179,12 +181,21 @@ SUBSET_CASES = {
 }
 
 
+def full_solve(L):
+    """fiedler_vector with the full eigendecomposition in place of the subset
+    solve."""
+    eigh = la.eigh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral.la, "eigh", lambda A, **kwargs: eigh(A))
+        return fiedler_vector(L)
+
+
 class TestFiedlerSubset:
     @pytest.mark.parametrize("case", list(SUBSET_CASES))
     def test_matches_full_eigendecomposition(self, monkeypatch, case):
         L = SUBSET_CASES[case]()
-        ref_vals, ref_vecs = la.eigh(L)
-        ref = ref_vecs[:, 1] / la.norm(ref_vecs[:, 1])
+        ref_vals = la.eigh(L, eigvals_only=True)
+        ref, _ = full_solve(L)
 
         calls = []
         eigh = spectral.la.eigh
@@ -202,11 +213,11 @@ class TestFiedlerSubset:
         assert kwargs == {"subset_by_index": [0, 2]}
         want = ref_vals[:3]
         assert np.all(np.abs(vals - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
-        # The glued chains' eight branch entries tie in magnitude up to
-        # rounding, so which one the sign convention keys on is set by the
-        # last bits of each solve: compare up to sign, then check the
-        # convention on v itself.
-        if v @ ref < 0:
-            ref = -ref
         assert np.abs(v - ref).max() <= 1e-10
-        assert v[np.argmax(np.abs(v))] > 0
+
+    @pytest.mark.parametrize("solve", [fiedler_vector, full_solve], ids=["subset", "full"])
+    def test_tied_magnitudes_lowest_index_leads(self, solve):
+        # The eight branch entries tie in magnitude to rounding; the first
+        # branch node (index 3) must come out positive on either solve.
+        _, signs = solve(glued_hp_laplacian(0.5))
+        assert "".join("-0+"[s + 1] for s in signs) == "000++++----"
