@@ -347,7 +347,7 @@ def cmd_verify(args) -> int:
     betas = tuple(float(b) for b in args.beta.split(","))
     report = run_levels(tm, levels, walks=args.walks, seed=args.seed, betas=betas,
                         tol_deg=args.tol_deg)
-    print(json.dumps(report, indent=2, default=float))
+    print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
 

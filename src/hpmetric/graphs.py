@@ -66,7 +66,8 @@ class TransitionMatrix:
     validates it once, and the per-chain results of ``per_chain`` functions
     (the stationary distribution and Q) are memoized on the instance and
     returned read-only.  A new chain, e.g. a fresh ``row_normalize``, starts
-    with an empty memo.
+    with an empty memo, and so does a pickled copy: numpy does not pickle
+    the read-only flag, so a restored memo would hand out writeable results.
     """
 
     n: int
@@ -94,6 +95,9 @@ class TransitionMatrix:
             raise IrreducibilityError(
                 f"support graph has {len(comps)} strongly connected components"
             )
+
+    def __getstate__(self):
+        return {**self.__dict__, "_memo": {}}
 
 
 def per_chain(compute):

@@ -5,14 +5,21 @@ classes that every commute must traverse in a fixed cyclic order.  Outside
 nodes fall between consecutive class members (segments); collapsing classes
 into single states yields a quotient chain whose distance is a true metric
 and relates to the original by explicit bounds.
+
+The first member each node reaches comes from one reverse breadth-first
+search per class member over the support with the members' out-edges cut;
+the commute order and the segments are read off that table.  The bounds are
+checked as whole arrays over pairs, in blocks of rows so that the
+temporaries stay within one n-by-n float64.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import StructureError
 from .graphs import TransitionMatrix
@@ -42,26 +49,28 @@ class QuotientChain:
     phi_prime: np.ndarray
 
 
-def _adjacency(P: np.ndarray) -> list:
-    return [np.nonzero(P[i] > 0.0)[0].tolist() for i in range(P.shape[0])]
+def _first_members(P: np.ndarray, members) -> np.ndarray:
+    """(n, k) bool: entry [v, t] is True iff some walk from v reaches
+    ``members[t]`` before any other member.
 
-
-def _first_members_reached(adj, source: int, member_set: frozenset) -> set:
-    """Class members reachable from `source` without passing through any
-    class member on the way.  The source itself may be a member; reaching it
-    again counts (a genuine class member never can)."""
-    reached = set()
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w in member_set:
-                reached.add(w)
-            elif w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return reached
+    A walk from a member starts by leaving it, so reaching itself again
+    counts (a genuine class member never can).  With the members' out-edges
+    cut, one breadth-first search per member over the reversed support finds
+    every node with a member-free path into it; member rows then take one
+    more step through their own out-edges.
+    """
+    into = P.T > 0.0  # into[w, v]: the edge v -> w, reversed
+    into[:, members] = False
+    # float64 CSR is csgraph's own format, so it is not converted again.
+    dist = csgraph.shortest_path(sp.csr_matrix(into, dtype=float), unweighted=True,
+                                 indices=members)
+    first = np.isfinite(dist.T)  # member rows: only the member itself
+    # Each member row becomes the OR of its out-neighbours' rows; every row
+    # of a stochastic P has at least one out-edge, so no group is empty.
+    src, dst = np.nonzero(P[members] > 0.0)
+    first[members] = np.logical_or.reduceat(first[dst],
+                                            np.searchsorted(src, np.arange(len(members))))
+    return first
 
 
 def order_class(tm: TransitionMatrix, members) -> OrderedClass:
@@ -75,18 +84,17 @@ def order_class(tm: TransitionMatrix, members) -> OrderedClass:
     members = sorted(members)
     if len(members) <= 1:
         return OrderedClass(members=list(members))
-    adj = _adjacency(tm.P)
-    member_set = frozenset(members)
+    first = _first_members(tm.P, members)
     order = [members[0]]
     current = members[0]
     for _ in range(len(members)):
-        nxt = _first_members_reached(adj, current, member_set)
+        nxt = np.flatnonzero(first[current])
         if len(nxt) != 1:
             raise StructureError(
                 f"member {tm.labels[current]!r} has {len(nxt)} successors in the "
                 "class; the set is not a genuine equivalence class"
             )
-        (succ,) = nxt
+        succ = members[nxt[0]]
         if succ == members[0]:
             if len(order) != len(members):
                 raise StructureError(
@@ -105,21 +113,17 @@ def order_class(tm: TransitionMatrix, members) -> OrderedClass:
 def segments(tm: TransitionMatrix, cls: OrderedClass) -> SegmentLabeling:
     """Assign each outside node the index of the first class member every
     walk from it must reach."""
-    adj = _adjacency(tm.P)
-    member_set = frozenset(cls.members)
-    position = {m: k for k, m in enumerate(cls.members)}
-    labels = {}
-    for node in range(tm.n):
-        if node in member_set:
-            continue
-        reached = _first_members_reached(adj, node, member_set)
-        if len(reached) != 1:
-            raise StructureError(
-                f"node {tm.labels[node]!r} reaches {len(reached)} distinct class "
-                "members first; segments are not well defined"
-            )
-        (m,) = reached
-        labels[node] = position[m]
+    first = _first_members(tm.P, cls.members)
+    outside = np.flatnonzero(~np.isin(np.arange(tm.n), cls.members))
+    reached = first[outside]
+    counts = reached.sum(axis=1)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        raise StructureError(
+            f"node {tm.labels[outside[bad[0]]]!r} reaches {counts[bad[0]]} distinct class "
+            "members first; segments are not well defined"
+        )
+    labels = dict(zip(outside.tolist(), reached.argmax(axis=1).tolist()))
     return SegmentLabeling(members=list(cls.members), labels=labels)
 
 
@@ -163,23 +167,29 @@ def quotient_from_report(tm: TransitionMatrix, phi: StationaryDistribution,
     return quotient_chain(tm, phi, report.classes)
 
 
-def _segment_signature(node: int, labelings: list) -> tuple:
-    sig = []
-    for lab in labelings:
-        if node in lab.labels:
-            sig.append(("s", lab.labels[node]))
-        else:
-            sig.append(("m", lab.members.index(node)))
-    return tuple(sig)
+def _codes(n: int, labelings: list) -> np.ndarray:
+    """(n, len(labelings)) int: a node's code under a labeling is its segment
+    index k when it lies outside the class and -1 - position when it is a
+    member.  Two nodes share an absolute segment iff their rows are equal."""
+    codes = np.empty((n, len(labelings)), dtype=np.intp)
+    for t, lab in enumerate(labelings):
+        codes[list(lab.labels), t] = list(lab.labels.values())
+        codes[lab.members, t] = -1 - np.arange(len(lab.members))
+    return codes
+
+
+def _segment_ids(codes: np.ndarray) -> np.ndarray:
+    """Per node, an id shared exactly by the nodes in its absolute segment."""
+    return np.unique(codes, axis=0, return_inverse=True)[1].ravel()
 
 
 def absolute_segments(tm: TransitionMatrix, labelings: list) -> list:
     """Group nodes by their segment position with respect to every
     non-singleton class.  With no labelings, all nodes share one segment."""
-    groups = {}
-    for node in range(tm.n):
-        groups.setdefault(_segment_signature(node, labelings), []).append(node)
-    return sorted(groups.values(), key=lambda g: g[0])
+    ids = _segment_ids(_codes(tm.n, labelings))
+    order = np.argsort(ids, kind="stable")
+    cuts = np.flatnonzero(np.diff(ids[order])) + 1
+    return sorted((g.tolist() for g in np.split(order, cuts)), key=lambda g: g[0])
 
 
 def check_quotient_bounds(dist, dist_prime, quotient: QuotientChain,
@@ -190,47 +200,57 @@ def check_quotient_bounds(dist, dist_prime, quotient: QuotientChain,
     segment, distances agree within ``tol``; otherwise
     D[i, j] < D'[alpha, beta] <= D[i, j] + 0.5*log(|alpha||beta|) + c*log 2
     with c the number of other classes whose segments separate i and j.
+
+    Pairs i < j are tested as whole arrays, a block of rows at a time: about
+    eight block-by-n temporaries are alive at once, so n // 8 rows keep them
+    within one n-by-n float64.  Violations come in (i, j) order, "lower"
+    before "upper" for the same pair.
     """
     D = dist.D
     Dp = dist_prime.D
-    class_map = quotient.class_map
-    sizes = [len(c) for c in quotient.classes]
     n = D.shape[0]
+    cm = np.asarray(quotient.class_map)
+    codes = _codes(n, labelings)
+    ids = _segment_ids(codes)
+    # 0.5 log(|alpha||beta|), tabled over distinct class sizes: a table over
+    # class pairs would be m x m, as large as D when every class is a singleton.
+    sizes, size_of = np.unique([len(c) for c in quotient.classes], return_inverse=True)
+    half_log = 0.5 * np.log(np.multiply.outer(sizes, sizes))
+    size_of = size_of.ravel()[cm]
+    log2 = np.log(2.0)
 
-    sigs = [_segment_signature(i, labelings) for i in range(n)]
-    # Per-labeling class index, to exclude alpha and beta from the count c.
-    member_sets = [frozenset(lab.members) for lab in labelings]
-
+    kinds = np.array(["isometry", "lower", "upper"])
     violations = []
     max_isometry_err = 0.0
     pairs = same_segment = 0
-    log2 = np.log(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = class_map[i], class_map[j]
-            if a == b:
-                continue
-            pairs += 1
-            d = D[i, j]
-            dp = Dp[a, b]
-            if sigs[i] == sigs[j]:
-                same_segment += 1
-                err = abs(d - dp)
-                max_isometry_err = max(max_isometry_err, err)
-                if err > tol:
-                    violations.append((i, j, "isometry", err))
-                continue
-            c = 0
-            for lab, mset in zip(labelings, member_sets):
-                if i in mset or j in mset:
-                    continue
-                if lab.labels[i] != lab.labels[j]:
-                    c += 1
-            upper = d + 0.5 * np.log(sizes[a] * sizes[b]) + c * log2
-            if not dp > d:
-                violations.append((i, j, "lower", dp - d))
-            if dp > upper + tol:
-                violations.append((i, j, "upper", dp - upper))
+    step = max(1, n // 8)
+    for r0 in range(0, n, step):
+        rows = np.arange(r0, min(r0 + step, n))
+        d = D[r0:r0 + step]
+        dp = Dp[np.ix_(cm[rows], cm)]
+        tested = (rows[:, None] < np.arange(n)) & (cm[rows, None] != cm)
+        same = ids[rows, None] == ids
+        isometric = tested & same
+        cross = tested & ~same
+        pairs += int(np.count_nonzero(tested))
+        same_segment += int(np.count_nonzero(isometric))
+
+        err = np.abs(d - dp)
+        max_isometry_err = max(max_isometry_err, float(err.max(where=isometric, initial=0.0)))
+        c = np.zeros(d.shape, dtype=np.intp)
+        for code in codes.T:
+            ci = code[rows, None]
+            c += (ci >= 0) & (code >= 0) & (ci != code)
+        upper = d + half_log[np.ix_(size_of[rows], size_of)] + c * log2
+
+        bad = (isometric & (err > tol), cross & ~(dp > d), cross & (dp > upper + tol))
+        # One sort key per violation, flat index * 3 + kind: (i, j, kind) order.
+        key = np.sort(np.concatenate([np.flatnonzero(b) * 3 + k for k, b in enumerate(bad)]))
+        (i, j), kind = np.divmod(key // 3, n), key % 3
+        value = np.select([kind == 0, kind == 1],
+                          [err[i, j], dp[i, j] - d[i, j]], dp[i, j] - upper[i, j])
+        violations.extend(zip((r0 + i).tolist(), j.tolist(), kinds[kind].tolist(),
+                              value.tolist()))
 
     return {
         "ok": not violations,

@@ -149,7 +149,7 @@ def level_oracle(tm: TransitionMatrix, walks: int = 20000, seed: int = 0,
         hit_checks.append({
             "pair": [tm.labels[i], tm.labels[j]],
             "estimate": q_hat, "exact": float(Q[i, j]), "se": se,
-            "ok": err <= 4.0 * se + MC_GUARD,
+            "ok": bool(err <= 4.0 * se + MC_GUARD),
         })
     visit_checks = []
     for t, (i, j) in enumerate(tested[: max(1, pairs // 2)]):

@@ -2,13 +2,19 @@
 
 These deliberately avoid the code paths they check: hitting probabilities
 come from an absorbing-state first-passage solve rather than the inverse
-ratio formula, and clustering optima come from enumeration.
+ratio formula, clustering optima come from enumeration, and the quotient
+structure checks come from per-node breadth-first search and a per-pair loop
+rather than whole-array reachability and row blocks.
 """
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
+
+from hpmetric.errors import StructureError
+from hpmetric.quotient import OrderedClass, SegmentLabeling
 
 
 def oracle_hitting_probability(P: np.ndarray, i: int, j: int) -> float:
@@ -107,3 +113,147 @@ def oracle_purity(labels, truth, k) -> float:
         matched = sum(1 for a, b in zip(labels, truth) if perm[a] == b)
         best = max(best, matched / len(truth))
     return best
+
+
+def _first_members_reached(adj, source: int, member_set: frozenset) -> set:
+    """Class members reachable from `source` without passing through any
+    class member on the way.  The source itself may be a member; reaching it
+    again counts."""
+    reached = set()
+    seen = {source}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w in member_set:
+                reached.add(w)
+            elif w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return reached
+
+
+def _adjacency(P: np.ndarray) -> list:
+    return [np.nonzero(P[i] > 0.0)[0].tolist() for i in range(P.shape[0])]
+
+
+def oracle_order_class(tm, members) -> OrderedClass:
+    """hpmetric.quotient.order_class by one breadth-first search per member."""
+    members = sorted(members)
+    if len(members) <= 1:
+        return OrderedClass(members=list(members))
+    adj = _adjacency(tm.P)
+    member_set = frozenset(members)
+    order = [members[0]]
+    current = members[0]
+    for _ in range(len(members)):
+        nxt = _first_members_reached(adj, current, member_set)
+        if len(nxt) != 1:
+            raise StructureError(
+                f"member {tm.labels[current]!r} has {len(nxt)} successors in the "
+                "class; the set is not a genuine equivalence class"
+            )
+        (succ,) = nxt
+        if succ == members[0]:
+            if len(order) != len(members):
+                raise StructureError(
+                    "commute order closed before visiting every member"
+                )
+            return OrderedClass(members=order)
+        if succ in order:
+            raise StructureError(
+                f"member {tm.labels[succ]!r} revisited before the cycle closed"
+            )
+        order.append(succ)
+        current = succ
+    raise StructureError("commute order failed to close")
+
+
+def oracle_segments(tm, cls) -> SegmentLabeling:
+    """hpmetric.quotient.segments by one breadth-first search per outside node."""
+    adj = _adjacency(tm.P)
+    member_set = frozenset(cls.members)
+    position = {m: k for k, m in enumerate(cls.members)}
+    labels = {}
+    for node in range(tm.n):
+        if node in member_set:
+            continue
+        reached = _first_members_reached(adj, node, member_set)
+        if len(reached) != 1:
+            raise StructureError(
+                f"node {tm.labels[node]!r} reaches {len(reached)} distinct class "
+                "members first; segments are not well defined"
+            )
+        (m,) = reached
+        labels[node] = position[m]
+    return SegmentLabeling(members=list(cls.members), labels=labels)
+
+
+def _segment_signature(node: int, labelings: list) -> tuple:
+    sig = []
+    for lab in labelings:
+        if node in lab.labels:
+            sig.append(("s", lab.labels[node]))
+        else:
+            sig.append(("m", lab.members.index(node)))
+    return tuple(sig)
+
+
+def oracle_absolute_segments(n: int, labelings: list) -> list:
+    """hpmetric.quotient.absolute_segments by per-node signature tuples."""
+    groups = {}
+    for node in range(n):
+        groups.setdefault(_segment_signature(node, labelings), []).append(node)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+def oracle_quotient_bounds(dist, dist_prime, quotient, labelings: list,
+                              tol: float = 1e-9) -> dict:
+    """hpmetric.quotient.check_quotient_bounds by a loop over pairs i < j."""
+    D = dist.D
+    Dp = dist_prime.D
+    class_map = quotient.class_map
+    sizes = [len(c) for c in quotient.classes]
+    n = D.shape[0]
+
+    sigs = [_segment_signature(i, labelings) for i in range(n)]
+    member_sets = [frozenset(lab.members) for lab in labelings]
+
+    violations = []
+    max_isometry_err = 0.0
+    pairs = same_segment = 0
+    log2 = np.log(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = class_map[i], class_map[j]
+            if a == b:
+                continue
+            pairs += 1
+            d = D[i, j]
+            dp = Dp[a, b]
+            if sigs[i] == sigs[j]:
+                same_segment += 1
+                err = abs(d - dp)
+                max_isometry_err = max(max_isometry_err, err)
+                if err > tol:
+                    violations.append((i, j, "isometry", err))
+                continue
+            c = 0
+            for lab, mset in zip(labelings, member_sets):
+                if i in mset or j in mset:
+                    continue
+                if lab.labels[i] != lab.labels[j]:
+                    c += 1
+            upper = d + 0.5 * np.log(sizes[a] * sizes[b]) + c * log2
+            if not dp > d:
+                violations.append((i, j, "lower", dp - d))
+            if dp > upper + tol:
+                violations.append((i, j, "upper", dp - upper))
+
+    return {
+        "ok": not violations,
+        "pairs_checked": pairs,
+        "same_segment_pairs": same_segment,
+        "max_isometry_error": max_isometry_err,
+        "violations": violations,
+    }

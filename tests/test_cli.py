@@ -165,6 +165,25 @@ class TestVerifyAndExitCodes:
                      "--walks", "2000", "--seed", "7"])
         assert code == 0
 
+    def test_verify_json_ok_flags_are_booleans(self, capsys):
+        main(["verify", "--model", "glued", "--levels", "identity,metric,quotient,oracle",
+              "--walks", "200"])
+        flags = []
+
+        def collect(node):
+            if isinstance(node, dict):
+                if "ok" in node:
+                    flags.append(node["ok"])
+                for v in node.values():
+                    collect(v)
+            elif isinstance(node, list):
+                for v in node:
+                    collect(v)
+
+        collect(json.loads(capsys.readouterr().out))
+        assert len(flags) > 20
+        assert all(type(f) is bool for f in flags)
+
     def test_verify_oracle_complete_graph(self, capsys):
         code = main(["verify", "--model", "complete", "--n", "3",
                      "--levels", "oracle", "--walks", "5000", "--seed", "7"])

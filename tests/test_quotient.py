@@ -1,17 +1,24 @@
+import struct
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hpmetric.errors import StructureError
-from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles
-from hpmetric.graphs import make_digraph, row_normalize
+from hpmetric.generators import GluedCyclesSpec, gen_er_cycle, gen_glued_cycles
+from hpmetric.graphs import largest_scc, make_digraph, row_normalize
 from hpmetric.hitting import hitting_fast
 from hpmetric.metric import degenerate_pairs, hp_distance, hp_similarity
-from hpmetric.quotient import (absolute_segments, check_quotient_bounds,
+from hpmetric.quotient import (OrderedClass, absolute_segments, check_quotient_bounds,
                                order_class, quotient_chain, quotient_from_report,
                                segments)
+from hpmetric.rng import stream
 from hpmetric.stationary import StationaryDistribution, stationary_distribution
 
-from conftest import directed_cycle, pipeline
+from conftest import directed_cycle, pipeline, random_chain
+from oracles import (oracle_absolute_segments, oracle_order_class, oracle_quotient_bounds,
+                     oracle_segments)
 
 
 def collapse_gadget():
@@ -223,3 +230,130 @@ def test_one_class_at_a_time(spec):
     for order in ([*range(len(classes))], [*reversed(range(len(classes)))]):
         P_seq = sequential_collapse(tm, phi.phi, classes, order)
         assert np.abs(P_seq - simultaneous.chain.P).max() <= 1e-12
+
+
+def small_chains_glued(n):
+    """The glued chain of size n in the benchmark's small-chains workload."""
+    n_c = (n - n // 10) // 3
+    return row_normalize(gen_glued_cycles(GluedCyclesSpec(n - 3 * n_c, n_c, 3)))
+
+
+def er_cycle(n, seed):
+    n_er = int(0.7 * n)
+    g = gen_er_cycle(n_er, n - n_er, min(1.0, 8.0 / n_er), 3.0, seed)
+    return row_normalize(largest_scc(g)[0])
+
+
+ORACLE_CHAINS = {
+    **{f"glued-{s.n_b}-{s.n_c}-{s.C}": (lambda s=s: row_normalize(gen_glued_cycles(s)))
+       for s in MULTI_CLASS_SPECS},
+    **{f"small-glued-{n}": (lambda n=n: small_chains_glued(n)) for n in (100, 125, 150)},
+    "collapse-gadget": lambda: collapse_gadget()[0],
+    "parallel-gadget": lambda: parallel_gadget()[0],
+    "er-cycle-100": lambda: er_cycle(100, 7),
+    "er-cycle-130": lambda: er_cycle(130, 8),
+    "random-60": lambda: random_chain(60, seed=5),
+    "random-120": lambda: random_chain(120, seed=6),
+}
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the message of the StructureError it raised."""
+    try:
+        return f(*args)
+    except StructureError as e:
+        return f"StructureError: {e}"
+
+
+def member_sets(tm, classes, seed):
+    """Mostly non-classes: each genuine class, with one member dropped and
+    with one outside node added, then random sets of 1 to 8 nodes."""
+    rng = stream(seed, 3)
+    sets = []
+    for cls in classes:
+        outside = sorted(set(range(tm.n)) - set(cls))
+        sets += [cls, cls[1:], cls + [outside[int(rng.integers(len(outside)))]]]
+    for _ in range(40):
+        size = int(rng.integers(1, min(8, tm.n) + 1))
+        sets.append(rng.choice(tm.n, size=size, replace=False).tolist())
+    return sets
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+# Quotient distances as computed, and moved so that each failure kind occurs.
+SCALES = {"as-is": lambda D: D, "half": lambda D: D * 0.5,
+          "stretched": lambda D: D * 1.01 + 0.01}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CHAINS))
+class TestAgainstOracles:
+    """The whole-array checks against the per-node BFS and per-pair loop in
+    tests/oracles.py: same results, same errors, same bits."""
+
+    def test_order_class_and_segments(self, name):
+        tm = ORACLE_CHAINS[name]()
+        phi, Q, dist = pipeline(tm)
+        classes = degenerate_pairs(Q, phi).non_singleton()
+        raised = 0
+        for members in member_sets(tm, classes, seed=len(name)):
+            got = outcome(order_class, tm, members)
+            assert got == outcome(oracle_order_class, tm, members), members
+            raised += isinstance(got, str)
+            # segments in commute order when there is one, else in draw order
+            cls = got if isinstance(got, OrderedClass) else OrderedClass(members=members)
+            got = outcome(segments, tm, cls)
+            assert got == outcome(oracle_segments, tm, cls), cls.members
+            if not isinstance(got, str):
+                assert all(type(k) is int for k in got.labels.values())
+        assert raised > 0
+
+    @pytest.mark.parametrize("tol", [1e-9, -1.0])  # below zero, one pair can fail twice
+    @pytest.mark.parametrize("scale", list(SCALES))
+    def test_quotient_bounds(self, name, scale, tol):
+        tm = ORACLE_CHAINS[name]()
+        phi, Q, dist, report, qc, labelings = degeneracy_pipeline(tm)
+        assert absolute_segments(tm, labelings) == oracle_absolute_segments(tm.n, labelings)
+        dist_p = SimpleNamespace(D=SCALES[scale](pipeline(qc.chain)[2].D))
+        got = check_quotient_bounds(dist, dist_p, qc, labelings, tol)
+        want = oracle_quotient_bounds(dist, dist_p, qc, labelings, tol)
+        assert {k: got[k] for k in ("ok", "pairs_checked", "same_segment_pairs")} == \
+            {k: want[k] for k in ("ok", "pairs_checked", "same_segment_pairs")}
+        assert bits(got["max_isometry_error"]) == bits(want["max_isometry_error"])
+        assert len(got["violations"]) == len(want["violations"])
+        for g, w in zip(got["violations"], want["violations"]):
+            assert g[:3] == w[:3] and bits(g[3]) == bits(w[3]), (g, w)
+        if scale == "as-is" and tol > 0:
+            assert got["ok"]
+
+
+def test_bounds_violation_kinds_all_occur():
+    """SCALES does reach all three failure kinds."""
+    kinds = set()
+    for name, scale in [("random-60", "half"), ("glued-2-2-3", "half"),
+                        ("glued-2-2-3", "stretched")]:
+        tm = ORACLE_CHAINS[name]()
+        phi, Q, dist, report, qc, labelings = degeneracy_pipeline(tm)
+        dist_p = SimpleNamespace(D=SCALES[scale](pipeline(qc.chain)[2].D))
+        chk = check_quotient_bounds(dist, dist_p, qc, labelings)
+        kinds |= {v[2] for v in chk["violations"]}
+    assert kinds == {"isometry", "lower", "upper"}
+
+
+def test_bounds_memory_within_one_matrix():
+    """Row blocks keep the check's temporaries near one n x n float64."""
+    n = 400
+    tm = random_chain(n, seed=11)
+    phi, Q, dist = pipeline(tm)
+    qc = quotient_chain(tm, phi, [[i] for i in range(n)])
+    dist_p = pipeline(qc.chain)[2]
+    tracemalloc.start()
+    try:
+        chk = check_quotient_bounds(dist, dist_p, qc, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chk["pairs_checked"] == n * (n - 1) // 2
+    assert peak <= 1.25 * 8 * n * n

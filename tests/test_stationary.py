@@ -1,8 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from hpmetric.generators import gen_random_strongly_connected
 from hpmetric.graphs import make_digraph, row_normalize
+from hpmetric.hitting import hitting_fast
 from hpmetric.stationary import stationary_distribution
 
 from conftest import directed_cycle, random_chain
@@ -74,3 +77,16 @@ def test_memoized_and_read_only():
     with pytest.raises(ValueError):
         phi.phi[0] = 0.5
 
+
+
+def test_pickled_chain_recomputes_read_only():
+    # numpy does not pickle the read-only flag, so a copy starts with no memo
+    # and its own results are read-only again.
+    tm = random_chain(20, seed=6)
+    phi, Q = stationary_distribution(tm).phi, hitting_fast(tm).Q
+    copy = pickle.loads(pickle.dumps(tm))
+    phi2, Q2 = stationary_distribution(copy).phi, hitting_fast(copy).Q
+    assert phi2 is not phi and Q2 is not Q
+    assert not phi2.flags.writeable and not Q2.flags.writeable
+    assert np.array_equal(phi2, phi) and np.array_equal(Q2, Q)
+    assert stationary_distribution(tm).phi is phi
