@@ -101,10 +101,16 @@ def hp_distance(sim: HpSimilarity, tol_deg: float = TOL_DEG) -> HpDistance:
     A = sim.A
     if A.min() <= 0.0:
         raise InputError("similarity entries must be positive")
-    D = -np.log(A) + 0.0  # fold -0.0 into +0.0
+    # In place in one n x n buffer: the only other temporary is the bool
+    # comparison below.
+    D = np.log(A)
+    np.negative(D, out=D)
+    D += 0.0  # fold -0.0 into +0.0
+    is_pseudo = False
+    if sim.beta == 0.5 and A.shape[0] > 1:
+        np.fill_diagonal(D, np.inf)  # off-diagonal entries only
+        is_pseudo = bool((D < tol_deg).any())
     np.fill_diagonal(D, 0.0)
-    off = ~np.eye(A.shape[0], dtype=bool)
-    is_pseudo = bool(sim.beta == 0.5 and A.shape[0] > 1 and (D[off] < tol_deg).any())
     return HpDistance(beta=sim.beta, D=D, is_pseudo=is_pseudo)
 
 

@@ -15,7 +15,7 @@ temporaries stay within one n-by-n float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +47,9 @@ class QuotientChain:
     classes: list  # member lists defining the quotient state order
     class_map: list  # original node -> quotient state
     phi_prime: np.ndarray
+    # Commute orders of the non-singleton classes, when the quotient was
+    # built from a degeneracy report (which validates each class by ordering it).
+    orders: list = field(default_factory=list)
 
 
 def _first_members(P: np.ndarray, members) -> np.ndarray:
@@ -161,10 +164,10 @@ def quotient_chain(tm: TransitionMatrix, phi: StationaryDistribution, partition)
 def quotient_from_report(tm: TransitionMatrix, phi: StationaryDistribution,
                          report: DegeneracyReport) -> QuotientChain:
     """Quotient by the detected zero-distance classes, re-validating each
-    non-singleton class structurally first."""
-    for cls in report.non_singleton():
-        order_class(tm, cls)
-    return quotient_chain(tm, phi, report.classes)
+    non-singleton class structurally first.  The commute orders found on the
+    way are kept on the result, in ``report.non_singleton()`` order."""
+    orders = [order_class(tm, cls) for cls in report.non_singleton()]
+    return replace(quotient_chain(tm, phi, report.classes), orders=orders)
 
 
 def _codes(n: int, labelings: list) -> np.ndarray:

@@ -14,8 +14,7 @@ from .graphs import TransitionMatrix
 from .hitting import (hitting_fast, hitting_reference, simulate_hit_before_return,
                       simulate_visit_counts)
 from .metric import degenerate_pairs, hp_distance, hp_similarity, verify_metric_axioms
-from .quotient import (check_quotient_bounds, order_class, quotient_from_report,
-                       segments)
+from .quotient import check_quotient_bounds, quotient_from_report, segments
 from .rng import stream
 from .stationary import stationary_distribution
 
@@ -108,7 +107,7 @@ def level_quotient(tm: TransitionMatrix, tol_deg: float = 1e-9) -> dict:
 
     phi_err = float(np.abs(phi_p.phi - qc.phi_prime).max())
     rep_p = degenerate_pairs(Q_p, phi_p, tol_deg)
-    labelings = [segments(tm, order_class(tm, c)) for c in report.non_singleton()]
+    labelings = [segments(tm, cls) for cls in qc.orders]
     bounds = check_quotient_bounds(dist, dist_p, qc, labelings, tol=QUOTIENT_TOL)
     return {
         "n_classes": len(report.classes),

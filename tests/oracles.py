@@ -4,16 +4,20 @@ These deliberately avoid the code paths they check: hitting probabilities
 come from an absorbing-state first-passage solve rather than the inverse
 ratio formula, clustering optima come from enumeration, and the quotient
 structure checks come from per-node breadth-first search and a per-pair loop
-rather than whole-array reachability and row blocks.
+rather than whole-array reachability and row blocks, and the dense CSV
+writer and reader format and parse one value at a time through Python
+strings and floats, holding the whole file's text, rather than streaming
+rows through C-level formatting and parsing.
 """
 
 import itertools
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from hpmetric.errors import StructureError
+from hpmetric.errors import ParseError, StructureError
 from hpmetric.quotient import OrderedClass, SegmentLabeling
 
 
@@ -257,3 +261,29 @@ def oracle_quotient_bounds(dist, dist_prime, quotient, labelings: list,
         "max_isometry_error": max_isometry_err,
         "violations": violations,
     }
+
+
+def oracle_write_dense_csv(path, M, labels) -> None:
+    """Header of labels, then each value as ``"{:.17g}".format(float(x))``;
+    the file's text is joined in memory and written at once."""
+    lines = [",".join(str(l) for l in labels)]
+    for row in np.asarray(M):
+        lines.append(",".join("{:.17g}".format(float(x)) for x in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def oracle_read_dense_csv(path):
+    """Parse every value with Python ``float`` after skipping blank and ``#``
+    lines; the first kept line is the labels."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    if not lines:
+        raise ParseError("empty matrix file", 1)
+    labels = lines[0].split(",")
+    rows = []
+    for line in lines[1:]:
+        vals = line.split(",")
+        if len(vals) != len(labels):
+            raise ParseError(f"expected {len(labels)} values")
+        rows.append([float(v) for v in vals])
+    return np.array(rows), labels

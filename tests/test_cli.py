@@ -1,11 +1,17 @@
 import argparse
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from hpmetric.cli import build_parser, main
-from hpmetric.files import read_dense_csv, write_dense_csv
+from hpmetric.errors import ParseError
+from hpmetric.files import read_dense_csv, write_column_csv, write_dense_csv, write_edge_csv
+from hpmetric.graphs import make_digraph
+
+from oracles import oracle_read_dense_csv, oracle_write_dense_csv
 
 
 @pytest.fixture
@@ -16,6 +22,15 @@ def glued_csv(tmp_path):
     return path
 
 
+SPECIAL = np.array([[0.0, -0.0, np.inf, -np.inf],
+                    [np.nan, 5e-324, 1e-300, 1e300],
+                    [3.0, 0.1, -2.5e-310, 1.0 / 3.0]])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestDenseRoundTrip:
     def test_exact_17_digit_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -24,14 +39,107 @@ class TestDenseRoundTrip:
         write_dense_csv(path, M, [f"n{i}" for i in range(7)])
         back, labels = read_dense_csv(path)
         assert labels == [f"n{i}" for i in range(7)]
-        assert np.array_equal(M, back)
+        assert same_bits(M, back)
 
     def test_extreme_values(self, tmp_path):
         M = np.array([[1e-300, 1.0], [np.e, 1e300]])
         path = tmp_path / "m.csv"
         write_dense_csv(path, M, ["a", "b"])
         back, _ = read_dense_csv(path)
-        assert np.array_equal(M, back)
+        assert same_bits(M, back)
+
+    def test_special_values_round_trip(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_dense_csv(path, SPECIAL, list("abcd"))
+        back, _ = read_dense_csv(path)
+        assert same_bits(SPECIAL, back)
+
+    @pytest.mark.parametrize("M, labels", [
+        (SPECIAL, list("abcd")),
+        (np.array([[0.25]]), ["only"]),
+        (np.random.default_rng(3).random((5, 5)) * 1e5, ["α", "β", "γ", "ß", "東"]),
+        (np.zeros((0, 2)), ["a", "b"]),
+    ], ids=["special", "1x1", "non-ascii", "no-rows"])
+    def test_bytes_and_values_match_oracle(self, tmp_path, M, labels):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_dense_csv(new, M, labels)
+        oracle_write_dense_csv(old, M, labels)
+        assert new.read_bytes() == old.read_bytes()
+        got, got_labels = read_dense_csv(old)
+        want, want_labels = oracle_read_dense_csv(old)
+        assert got_labels == want_labels == labels
+        assert got.dtype == want.dtype and same_bits(got, want)
+
+    def test_comments_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"# made by hand\r\n\r\na,b\r\n1,2\r\n   \n# mid\n3,-0\n")
+        got, labels = read_dense_csv(path)
+        want, want_labels = oracle_read_dense_csv(path)
+        assert labels == want_labels == ["a", "b"]
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("# c\n\na,b\n1,2\n3\n", 5, "expected 2 values"),
+        ("a,b\n1,2,\n", 2, "expected 2 values"),
+        ("a,b,c\n1,2,\n", 2, "expected 3 values"),
+        ("a,b\n1,2\n\n1,x\n", 4, "non-numeric value"),
+        ("a,b\n1,2x\n", 2, "non-numeric value"),
+        ("a,b\n1,\n", 2, "expected 2 values"),
+        ("# only a comment\n\n", 1, "empty matrix file"),
+        ("", 1, "empty matrix file"),
+    ])
+    def test_bad_file_reports_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=f"^line {line}: {message}") as err:
+                read_dense_csv(path)
+        assert err.value.line_number == line
+
+    def test_writer_streams_rows(self, tmp_path):
+        n = 400
+        M = np.random.default_rng(5).random((n, n))
+        path = tmp_path / "m.csv"
+        tracemalloc.start()
+        try:
+            write_dense_csv(path, M, [f"n{i}" for i in range(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * path.stat().st_size
+
+    def test_reader_holds_no_text(self, tmp_path):
+        n = 400
+        path = tmp_path / "m.csv"
+        write_dense_csv(path, np.random.default_rng(6).random((n, n)),
+                        [f"n{i}" for i in range(n)])
+        tracemalloc.start()
+        try:
+            read_dense_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * n
+
+
+class TestSmallWriters:
+    def test_edge_csv_text(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_edge_csv(path, make_digraph([[0.0, 0.1], [2.0, 0.0]], labels=["x", 7]))
+        assert path.read_bytes() == b"x,7,0.10000000000000001\n7,x,2\n"
+
+    def test_edgeless_graph_is_one_empty_line(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_edge_csv(path, make_digraph([[0.0]], labels=["a"]))
+        assert path.read_bytes() == b"\n"
+
+    def test_column_csv_text(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_column_csv(path, ["é", "b"], {"value": np.array([1 / 3, -0.0]),
+                                            "sign": ["+", "-"], "k": [np.int64(3), True]})
+        assert path.read_text(encoding="utf-8") == (
+            "label,value,sign,k\né,0.33333333333333331,+,3\nb,-0,-,1\n")
 
 
 class TestSubcommands:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hpmetric.errors import InputError, NumericalError, ToleranceError
 from hpmetric.hitting import hitting_fast
-from hpmetric.metric import (degenerate_pairs, hp_distance, hp_similarity,
+from hpmetric.metric import (HpSimilarity, degenerate_pairs, hp_distance, hp_similarity,
                              verify_metric_axioms)
 from hpmetric.stationary import StationaryDistribution, stationary_distribution
 
@@ -117,6 +119,42 @@ class TestDistance:
         assert dist.D[0, 3] == pytest.approx(LN2 / 2, abs=1e-10)
         assert dist.D[0, 1] == pytest.approx(0.0, abs=1e-10)
         assert dist.is_pseudo
+
+    @pytest.mark.parametrize("beta", [0.5, 0.75])
+    @pytest.mark.parametrize("case", ["two-cycle", "glued", "random", "synthetic"])
+    def test_bits_match_out_of_place_formula(self, beta, case, two_cycle, glued_342):
+        if case == "synthetic":
+            # Off-diagonal ones give -log(1) = -0.0, which must become +0.0;
+            # a non-unit diagonal must still read 0.
+            A = np.array([[0.5, 1.0, 1e-300], [1.0, 2.0, 0.3], [1e-300, 0.3, 1.0]])
+            sim = HpSimilarity(beta=beta, A=A, asymmetry=0.0)
+        else:
+            tm = {"two-cycle": two_cycle, "glued": glued_342,
+                  "random": random_chain(30, seed=8)}[case]
+            phi = stationary_distribution(tm)
+            sim = hp_similarity(hitting_fast(tm), phi, beta)
+        dist = hp_distance(sim)
+        want = -np.log(sim.A) + 0.0
+        np.fill_diagonal(want, 0.0)
+        off = ~np.eye(sim.n, dtype=bool)
+        assert np.array_equal(dist.D.view(np.int64), want.view(np.int64))
+        assert dist.is_pseudo == bool(beta == 0.5 and (want[off] < 1e-9).any())
+
+    def test_one_by_one_is_not_pseudo(self):
+        dist = hp_distance(HpSimilarity(beta=0.5, A=np.ones((1, 1)), asymmetry=0.0))
+        assert dist.D.tolist() == [[0.0]] and not dist.is_pseudo
+
+    def test_distance_memory_within_its_output(self):
+        n = 400
+        A = np.random.default_rng(2).random((n, n)) + 0.5
+        sim = HpSimilarity(beta=0.5, A=A, asymmetry=0.0)
+        tracemalloc.start()
+        try:
+            hp_distance(sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
 
     def test_triangle_slack_identity(self):
         # D[i,j] - D[i,k] - D[k,j] = (2b-1) ln phi_k + ln(Q_ik Q_kj / Q_ij),

@@ -227,6 +227,7 @@ def test_one_class_at_a_time(spec):
     assert len(report.non_singleton()) >= 3
     simultaneous = quotient_from_report(tm, phi, report)
     classes = report.non_singleton()
+    assert simultaneous.orders == [order_class(tm, c) for c in classes]
     for order in ([*range(len(classes))], [*reversed(range(len(classes)))]):
         P_seq = sequential_collapse(tm, phi.phi, classes, order)
         assert np.abs(P_seq - simultaneous.chain.P).max() <= 1e-12

@@ -1,7 +1,10 @@
 import pytest
 
+from hpmetric import quotient, verify
+from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles
+from hpmetric.graphs import row_normalize
 from hpmetric.rng import stream
-from hpmetric.verify import _oracle_pairs
+from hpmetric.verify import _oracle_pairs, run_levels
 
 
 def listed_pairs(n, pairs, rng):
@@ -21,3 +24,20 @@ class TestOraclePairs:
         assert got == listed_pairs(n, 6, stream(seed, 2**32))
         assert len(set(got)) == len(got) == min(6, n * (n - 1))
         assert all(i != j for i, j in got)
+
+
+def test_run_levels_orders_each_class_once(monkeypatch):
+    tm = row_normalize(gen_glued_cycles(GluedCyclesSpec(3, 3, 3)))
+    calls = []
+    real = quotient.order_class
+
+    def counting(tm, members):
+        calls.append(tuple(sorted(members)))
+        return real(tm, members)
+
+    monkeypatch.setattr(quotient, "order_class", counting)
+    monkeypatch.setattr(verify, "order_class", counting, raising=False)
+    report = run_levels(tm, ["quotient"])
+    assert report["ok"]
+    assert report["levels"]["quotient"]["n_classes"] < tm.n
+    assert len(calls) == len(set(calls)) >= 3
