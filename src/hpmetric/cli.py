@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: stationary, hitprob, metric, quotient, symmetrize, fiedler,
-generate, cluster, embed, verify, bench.  Exit codes: 0 success,
+generate, cluster, embed, verify.  Exit codes: 0 success,
 1 verification failure, 2 input/domain error, 3 numerical failure.
 
 Thread count for the BLAS backends comes from --threads or HPMETRIC_THREADS
@@ -351,22 +351,6 @@ def cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def cmd_bench(args) -> int:
-    from .generators import gen_random_strongly_connected
-    from .graphs import row_normalize
-    from .hitting import hitting_fast
-
-    results = {"seed": args.seed, "timings": []}
-    for n in (int(s) for s in args.sizes.split(",")):
-        tm = row_normalize(gen_random_strongly_connected(n, p=min(1.0, 20.0 / n),
-                                                         seed=args.seed))
-        t0 = time.time()
-        hitting_fast(tm)
-        results["timings"].append({"n": n, "seconds": time.time() - t0})
-    print(json.dumps(results))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hpmetric",
@@ -468,11 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default="0.5,0.75,1.0")
     p.add_argument("--tol-deg", type=float, default=1e-9, dest="tol_deg")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time the Q kernel at given sizes")
-    p.add_argument("--sizes", default="1000,2000")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return ap
 

@@ -21,17 +21,13 @@ import numpy as np
 from .errors import ParseError
 from .graphs import WeightedDigraph
 
-FLOAT_FMT = "{:.17g}"
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT.format(float(x))
+# Every number written to a CSV file: 17 significant digits round-trip.
+FLOAT_FMT = "%.17g"
 
 
 def write_dense_csv(path, M: np.ndarray, labels) -> None:
     M = np.asarray(M)
-    # "%.17g" % x is the same text as FLOAT_FMT.format(float(x)).
-    row_fmt = ",".join(["%.17g"] * M.shape[1]) + "\n"
+    row_fmt = ",".join([FLOAT_FMT] * M.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(str(l) for l in labels) + "\n")
         for row in M:
@@ -73,9 +69,10 @@ def read_dense_csv(path):
 
 def write_edge_csv(path, g: WeightedDigraph) -> None:
     coo = g.weights.tocoo()
+    line_fmt = f"%s,%s,{FLOAT_FMT}\n"
     with open(path, "w", encoding="utf-8") as fh:
         for i, j, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            fh.write("%s,%s,%.17g\n" % (g.labels[i], g.labels[j], w))
+            fh.write(line_fmt % (g.labels[i], g.labels[j], w))
         if coo.nnz == 0:
             fh.write("\n")  # an edgeless graph is written as one empty line
 
@@ -89,7 +86,7 @@ def write_column_csv(path, labels, columns: dict) -> None:
             vals = []
             for name in names:
                 v = columns[name][i]
-                vals.append(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v))
+                vals.append(FLOAT_FMT % v if isinstance(v, (int, float, np.floating)) else str(v))
             fh.write(f"{lab}," + ",".join(vals) + "\n")
 
 

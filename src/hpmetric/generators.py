@@ -17,6 +17,11 @@ from .graphs import WeightedDigraph, make_digraph, strongly_connected_components
 from .rng import stream
 
 
+# Redraws before gen_er_cycle and gen_random_strongly_connected give up.
+ER_CYCLE_ATTEMPTS = 100
+RANDOM_SC_ATTEMPTS = 200
+
+
 @dataclass(frozen=True)
 class GluedCyclesSpec:
     n_b: int  # backbone length
@@ -99,7 +104,7 @@ def glued_cycles_stationary(spec: GluedCyclesSpec) -> np.ndarray:
 
 
 def gen_er_cycle(n_er: int, n_cycle: int, p: float, w: float, seed: int,
-                 self_loops: bool = False, max_attempts: int = 100) -> WeightedDigraph:
+                 self_loops: bool = False) -> WeightedDigraph:
     """Directed ER block coupled to a directed cycle.
 
     Each cycle node receives 2*round(n_er*p) - 1 in-edges of weight ``w``
@@ -114,7 +119,7 @@ def gen_er_cycle(n_er: int, n_cycle: int, p: float, w: float, seed: int,
         raise InputError("need n_er, n_cycle >= 1, p in (0, 1], w > 0")
     n = n_er + n_cycle
     in_edges = 2 * round(n_er * p) - 1
-    for attempt in range(max_attempts):
+    for attempt in range(ER_CYCLE_ATTEMPTS):
         rng = stream(seed + attempt, 0)
         W = np.zeros((n, n))
         block = (rng.random((n_er, n_er)) < p).astype(float)
@@ -132,7 +137,7 @@ def gen_er_cycle(n_er: int, n_cycle: int, p: float, w: float, seed: int,
             labels = [f"er{i}" for i in range(n_er)] + [f"cy{c}" for c in range(n_cycle)]
             return make_digraph(W, labels)
     raise InputError(
-        f"no strongly connected graph after {max_attempts} attempts"
+        f"no strongly connected graph after {ER_CYCLE_ATTEMPTS} attempts"
     )
 
 
@@ -151,28 +156,23 @@ def gen_planted_partition(spec: PlantedPartitionSpec, seed: int):
     return make_digraph(W), truth
 
 
-def gen_random_strongly_connected(n: int, p: float = None, seed: int = 0,
-                                  weighted: bool = True,
-                                  max_attempts: int = 200) -> WeightedDigraph:
-    """Directed ER graph, redrawn until strongly connected.
+def gen_random_strongly_connected(n: int, p: float = None, seed: int = 0) -> WeightedDigraph:
+    """Directed ER graph with weights uniform on (0, 1], redrawn until
+    strongly connected.
 
     Default edge probability scales as max(0.5, 2 ln n / n) clipped to 1, so
-    connectivity holds with high probability at every size.  Weights are
-    uniform on (0, 1] when ``weighted``.
+    connectivity holds with high probability at every size.
     """
     if p is None:
         p = min(1.0, max(0.5 if n < 10 else 0.0, 2.0 * np.log(max(n, 2)) / n))
-    for attempt in range(max_attempts):
+    for attempt in range(RANDOM_SC_ATTEMPTS):
         rng = stream(seed + 7919 * attempt, 1)
         mask = rng.random((n, n)) < p
         np.fill_diagonal(mask, False)
-        if weighted:
-            W = np.where(mask, 1.0 - rng.random((n, n)), 0.0)
-        else:
-            W = mask.astype(float)
+        W = np.where(mask, 1.0 - rng.random((n, n)), 0.0)
         if len(strongly_connected_components(W)) == 1:
             return make_digraph(W)
-    raise InputError(f"no strongly connected draw after {max_attempts} attempts")
+    raise InputError(f"no strongly connected draw after {RANDOM_SC_ATTEMPTS} attempts")
 
 
 def _sample_points(domain: str, n: int, rng) -> np.ndarray:

@@ -169,8 +169,8 @@ def row_normalize(g: WeightedDigraph) -> TransitionMatrix:
     zero = np.nonzero(sums <= 0.0)[0]
     if zero.size:
         raise InputError(f"node {g.labels[zero[0]]!r} has no outgoing weight")
-    P = w / sums[:, None]
-    return TransitionMatrix(n=g.n, P=P, labels=list(g.labels))
+    w /= sums[:, None]  # w is a fresh dense copy: P takes its buffer
+    return TransitionMatrix(n=g.n, P=w, labels=list(g.labels))
 
 
 def _parse_csv_edges(text: str):

@@ -22,6 +22,12 @@ TOL_DEG = 1e-9
 
 SYMMETRY_CONSISTENCY_TOL = 1e-8
 
+# verify_metric_axioms checks every triple up to EXHAUSTIVE_LIMIT nodes and
+# TRIANGLE_SAMPLES random triples (from stream SAMPLE_SEED) above it.
+EXHAUSTIVE_LIMIT = 500
+TRIANGLE_SAMPLES = 10**6
+SAMPLE_SEED = 0
+
 
 @dataclass(frozen=True)
 class HpSimilarity:
@@ -114,14 +120,13 @@ def hp_distance(sim: HpSimilarity, tol_deg: float = TOL_DEG) -> HpDistance:
     return HpDistance(beta=sim.beta, D=D, is_pseudo=is_pseudo)
 
 
-def verify_metric_axioms(dist: HpDistance, tol: float = 1e-9, seed: int = 0,
-                         exhaustive_limit: int = 500, samples: int = 10**6) -> dict:
+def verify_metric_axioms(dist: HpDistance, tol: float = 1e-9) -> dict:
     """Check symmetry, triangle inequality, and off-diagonal positivity.
 
-    All pairs/triples are checked exhaustively for n <= ``exhaustive_limit``;
-    above that, ``samples`` random triples are drawn.  Returns a report with
-    per-axiom booleans (at tolerance ``tol``) and the worst observed slack,
-    so callers can apply stricter thresholds.
+    All pairs/triples are checked exhaustively for n <= ``EXHAUSTIVE_LIMIT``;
+    above that, ``TRIANGLE_SAMPLES`` random triples are drawn.  Returns a
+    report with per-axiom booleans (at tolerance ``tol``) and the worst
+    observed slack, so callers can apply stricter thresholds.
     """
     D = dist.D
     n = D.shape[0]
@@ -130,13 +135,13 @@ def verify_metric_axioms(dist: HpDistance, tol: float = 1e-9, seed: int = 0,
     min_off = float(D[off].min()) if n > 1 else np.inf
 
     worst_tri = -np.inf
-    if n <= exhaustive_limit:
+    if n <= EXHAUSTIVE_LIMIT:
         for k in range(n):
             viol = D - (D[:, k][:, None] + D[k, :][None, :])
             worst_tri = max(worst_tri, float(viol.max()))
     else:
-        rng = stream(seed, 0)
-        idx = rng.integers(0, n, size=(samples, 3))
+        rng = stream(SAMPLE_SEED, 0)
+        idx = rng.integers(0, n, size=(TRIANGLE_SAMPLES, 3))
         i, k, j = idx[:, 0], idx[:, 1], idx[:, 2]
         viol = D[i, j] - D[i, k] - D[k, j]
         worst_tri = float(viol.max())

@@ -80,37 +80,29 @@ def order_class(tm: TransitionMatrix, members) -> OrderedClass:
     """Recover the cyclic commute order of an equivalence class.
 
     Starting from the smallest member, the successor of each member is the
-    unique member reachable without passing through any other; the walk must
-    visit every member once and close back on the start, otherwise the input
-    was not a genuine class.
+    unique member reachable without passing through any other; a member with
+    no or several such successors means the input was not a genuine class.
+    Otherwise the walk visits every member once and closes on the start,
+    since the chain is strongly connected: every walk from a member it cycles
+    through first meets the next one, so a cycle that closed early or on a
+    later member would leave some member unreachable.
     """
     members = sorted(members)
     if len(members) <= 1:
         return OrderedClass(members=list(members))
     first = _first_members(tm.P, members)
     order = [members[0]]
-    current = members[0]
-    for _ in range(len(members)):
-        nxt = np.flatnonzero(first[current])
+    while True:
+        nxt = np.flatnonzero(first[order[-1]])
         if len(nxt) != 1:
             raise StructureError(
-                f"member {tm.labels[current]!r} has {len(nxt)} successors in the "
+                f"member {tm.labels[order[-1]]!r} has {len(nxt)} successors in the "
                 "class; the set is not a genuine equivalence class"
             )
         succ = members[nxt[0]]
         if succ == members[0]:
-            if len(order) != len(members):
-                raise StructureError(
-                    "commute order closed before visiting every member"
-                )
             return OrderedClass(members=order)
-        if succ in order:
-            raise StructureError(
-                f"member {tm.labels[succ]!r} revisited before the cycle closed"
-            )
         order.append(succ)
-        current = succ
-    raise StructureError("commute order failed to close")
 
 
 def segments(tm: TransitionMatrix, cls: OrderedClass) -> SegmentLabeling:

@@ -3,7 +3,9 @@
 Four symmetrizations are supported: the additive and entrywise-max
 combinations of P and P^T, the stationary-weighted Laplacian
 L = I - (Phi^{1/2} P Phi^{-1/2} + Phi^{-1/2} P^T Phi^{1/2}) / 2, and the
-normalized hitting-probability similarity at a chosen beta.
+normalized hitting-probability similarity at a chosen beta.  The Fiedler
+vector comes from a dense solve for the three smallest eigenpairs only, at
+every size up to the dense limit.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import InputError
 from .graphs import TransitionMatrix
@@ -22,9 +22,10 @@ from .hitting import hitting_fast
 from .metric import hp_similarity
 from .stationary import StationaryDistribution
 
-DENSE_EIG_LIMIT = 2000
-
 KINDS = ("additive", "max", "chung", "hp")
+
+# Fiedler entries below this fraction of max|v| get sign 0.
+ZERO_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -76,31 +77,23 @@ def operator_laplacian(op: SymmetricOperator) -> np.ndarray:
     return op.M if op.kind == "chung" else laplacian(op.M)
 
 
-def fiedler_vector(L: np.ndarray, zero_threshold: float = 1e-8):
+def fiedler_vector(L: np.ndarray):
     """Unit eigenvector of the second-smallest Laplacian eigenvalue.
 
     The global sign is fixed so the largest-magnitude entry is positive;
     entries within 1e-10 * max|v| of the largest count as tied, and the
     lowest index among them wins.  Returns the vector and its sign pattern
-    in {-1, 0, +1}, where entries below ``zero_threshold * max|v|`` count as
+    in {-1, 0, +1}, where entries below ``ZERO_THRESHOLD * max|v|`` count as
     zero.  Warns when the second and third eigenvalues nearly coincide,
     since the pattern is then basis dependent.  Only the three smallest
-    eigenpairs are computed: a subset dense solve up to ``DENSE_EIG_LIMIT``
-    nodes, shift-invert Lanczos above it.
+    eigenpairs are computed, by a dense subset solve.
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
     if n < 2:
         raise InputError("need at least two nodes for a Fiedler vector")
     k = min(3, n)
-    if n <= DENSE_EIG_LIMIT:
-        vals, vecs = la.eigh(L, subset_by_index=[0, k - 1])
-    else:
-        Ls = sp.csr_matrix(L) if not sp.issparse(L) else L
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        vals, vecs = spla.eigsh(Ls, k=k, sigma=-1e-6, which="LM", mode="normal", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = la.eigh(L, subset_by_index=[0, k - 1])
 
     if k >= 3 and abs(vals[2] - vals[1]) < 1e-12:
         warnings.warn(
@@ -115,7 +108,7 @@ def fiedler_vector(L: np.ndarray, zero_threshold: float = 1e-8):
     lead = np.argmax(mag >= mag.max() * (1.0 - 1e-10))
     if v[lead] < 0:
         v = -v
-    cut = zero_threshold * mag.max()
+    cut = ZERO_THRESHOLD * mag.max()
     signs = np.zeros(n, dtype=np.int8)
     signs[v > cut] = 1
     signs[v < -cut] = -1

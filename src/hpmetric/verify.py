@@ -32,6 +32,14 @@ QUOTIENT_TOL = 1e-9
 # on representation noise.
 MC_GUARD = 1e-9
 
+# level_identity compares every column of Q with the reference solver up to
+# this many nodes, and 10 random columns above it.
+MAX_REFERENCE_N = 300
+
+# Node pairs level_oracle simulates: hit probabilities for all of them,
+# visit counts for the first half.
+ORACLE_PAIRS = 6
+
 
 def _check(value, tol, ok=None):
     if ok is None:
@@ -53,13 +61,13 @@ def submultiplicativity_slack(Q: np.ndarray) -> float:
     return worst
 
 
-def level_identity(tm: TransitionMatrix, max_reference_n: int = 300) -> dict:
+def level_identity(tm: TransitionMatrix) -> dict:
     phi = stationary_distribution(tm)
     hp = hitting_fast(tm)
     Q = hp.Q
     balance = np.abs(Q * phi.phi[:, None] - Q.T * phi.phi[None, :]).max()
     submult = submultiplicativity_slack(Q)
-    if tm.n <= max_reference_n:
+    if tm.n <= MAX_REFERENCE_N:
         cols = range(tm.n)
     else:
         cols = stream(0, tm.n).choice(tm.n, size=10, replace=False)
@@ -136,11 +144,10 @@ def _oracle_pairs(n: int, pairs: int, rng) -> list:
     return list(zip(i.tolist(), (r + (r >= i)).tolist()))
 
 
-def level_oracle(tm: TransitionMatrix, walks: int = 20000, seed: int = 0,
-                 pairs: int = 6) -> dict:
+def level_oracle(tm: TransitionMatrix, walks: int = 20000, seed: int = 0) -> dict:
     phi = stationary_distribution(tm)
     Q = hitting_fast(tm).Q
-    tested = _oracle_pairs(tm.n, pairs, stream(seed, 2**32))
+    tested = _oracle_pairs(tm.n, ORACLE_PAIRS, stream(seed, 2**32))
     hit_checks = []
     for t, (i, j) in enumerate(tested):
         q_hat, se = simulate_hit_before_return(tm, i, j, walks, seed + t)
@@ -151,7 +158,7 @@ def level_oracle(tm: TransitionMatrix, walks: int = 20000, seed: int = 0,
             "ok": bool(err <= 4.0 * se + MC_GUARD),
         })
     visit_checks = []
-    for t, (i, j) in enumerate(tested[: max(1, pairs // 2)]):
+    for t, (i, j) in enumerate(tested[: max(1, ORACLE_PAIRS // 2)]):
         mean, se = simulate_visit_counts(tm, i, j, walks, seed + 1000 + t)
         target = float(phi.phi[j] / phi.phi[i])
         visit_checks.append({

@@ -39,8 +39,8 @@ def pipeline(tm, beta=0.5):
     return phi, Q, dist
 
 
-def random_chain(n, seed, weighted=True):
-    return row_normalize(gen_random_strongly_connected(n, seed=seed, weighted=weighted))
+def random_chain(n, seed):
+    return row_normalize(gen_random_strongly_connected(n, seed=seed))
 
 
 @pytest.fixture(scope="session")

@@ -272,6 +272,24 @@ def oracle_write_dense_csv(path, M, labels) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def oracle_write_column_csv(path, labels, columns) -> None:
+    """Header ``label,<names>``, then one row per label: Python and numpy
+    floats and Python ints as ``"{:.17g}".format(float(x))``, anything else
+    as ``str``."""
+    names = list(columns)
+    lines = ["label," + ",".join(names)]
+    for i, lab in enumerate(labels):
+        vals = []
+        for name in names:
+            v = columns[name][i]
+            if isinstance(v, (int, float, np.floating)):
+                vals.append("{:.17g}".format(float(v)))
+            else:
+                vals.append(str(v))
+        lines.append(f"{lab}," + ",".join(vals))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def oracle_read_dense_csv(path):
     """Parse every value with Python ``float`` after skipping blank and ``#``
     lines; the first kept line is the labels."""

@@ -11,7 +11,7 @@ from hpmetric.errors import ParseError
 from hpmetric.files import read_dense_csv, write_column_csv, write_dense_csv, write_edge_csv
 from hpmetric.graphs import make_digraph
 
-from oracles import oracle_read_dense_csv, oracle_write_dense_csv
+from oracles import oracle_read_dense_csv, oracle_write_column_csv, oracle_write_dense_csv
 
 
 @pytest.fixture
@@ -141,6 +141,27 @@ class TestSmallWriters:
         assert path.read_text(encoding="utf-8") == (
             "label,value,sign,k\né,0.33333333333333331,+,3\nb,-0,-,1\n")
 
+    def test_column_csv_matches_oracle(self, tmp_path):
+        columns = {
+            "int": [0, -7, 2**60, 3, 1, 12],
+            "bool": [True, False, True, False, True, False],
+            "float64": np.array([np.nan, np.inf, -np.inf, -0.0, 0.1, 5e-324]),
+            "float": [1 / 3, -0.0, float("nan"), float("-inf"), 1e300, 2.0],
+            "str": ["+", "-", "0", "x y", "é", ""],
+            "np.int64": [np.int64(-1), np.int64(0), np.int64(2**62), np.int64(5),
+                         np.int64(9), np.int64(10)],
+        }
+        labels = ["a", "β", "c", "d", "e", "f"]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_column_csv(new, labels, columns)
+        oracle_write_column_csv(old, labels, columns)
+        assert new.read_bytes() == old.read_bytes()
+        assert new.read_text(encoding="utf-8").splitlines()[1:4] == [
+            "a,0,1,nan,0.33333333333333331,+,-1",
+            "β,-7,0,inf,-0,-,0",
+            "c,1.152921504606847e+18,1,-inf,nan,0,4611686018427387904",
+        ]
+
 
 class TestSubcommands:
     def test_stationary(self, glued_csv, tmp_path):
@@ -252,12 +273,6 @@ class TestSubcommands:
         assert len(out.read_text().splitlines()) == 12
         meta = json.loads((tmp_path / "coords.meta.json").read_text())
         assert len(meta["parameters"]["explained_variance"]) == 2
-
-    def test_bench_runs(self, capsys):
-        assert main(["bench", "--sizes", "40,80", "--seed", "0"]) == 0
-        rep = json.loads(capsys.readouterr().out)
-        assert [r["n"] for r in rep["timings"]] == [40, 80]
-        assert rep["seed"] == 0
 
 
 class TestVerifyAndExitCodes:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpmetric.errors import InputError, IrreducibilityError, ParseError
+from hpmetric.generators import gen_random_strongly_connected
 from hpmetric.graphs import (largest_scc, load_edge_list, make_digraph,
                              row_normalize, strongly_connected_components)
 
@@ -140,6 +142,20 @@ class TestRowNormalize:
         g, _ = largest_scc(make_digraph(W))
         tm = row_normalize(g)
         assert np.array_equal(tm.P > 0, np.asarray(g.weights.todense()) > 0)
+
+    def test_divides_in_place_with_identical_bits(self):
+        n = 1000
+        g = gen_random_strongly_connected(n, p=20.0 / n, seed=3)
+        w = g.weights.toarray()
+        want = w / w.sum(axis=1)[:, None]
+        tracemalloc.start()
+        try:
+            tm = row_normalize(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(tm.P.view(np.int64), want.view(np.int64))
+        assert peak <= 1.25 * 8 * n * n  # P itself is 1.0 of it
 
     def test_dense_limit(self):
         import scipy.sparse as sp

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hpmetric import metric
 from hpmetric.errors import InputError, NumericalError, ToleranceError
 from hpmetric.hitting import hitting_fast
 from hpmetric.metric import (HpSimilarity, degenerate_pairs, hp_distance, hp_similarity,
@@ -192,10 +193,12 @@ class TestAxioms:
         rep = verify_metric_axioms(dist)
         assert abs(rep["worst_violations"]["triangle"]) <= 1e-12
 
-    def test_sampled_path_above_limit(self):
+    def test_sampled_path_above_limit(self, monkeypatch):
         tm = random_chain(60, seed=2)
         phi, Q, dist = pipeline(tm, beta=0.75)
-        rep = verify_metric_axioms(dist, exhaustive_limit=10, samples=20000)
+        monkeypatch.setattr(metric, "EXHAUSTIVE_LIMIT", 10)
+        monkeypatch.setattr(metric, "TRIANGLE_SAMPLES", 20000)
+        rep = verify_metric_axioms(dist)
         assert rep["triangle_ok"]
 
 

@@ -147,20 +147,6 @@ class TestFiedler:
         with pytest.warns(RuntimeWarning, match="nearly coincide"):
             fiedler_vector(L)
 
-    def test_large_sparse_path_agrees_with_dense(self):
-        from hpmetric import spectral
-
-        M = random_adjacency(60, 3)
-        L = laplacian(M)
-        v_dense, _ = fiedler_vector(L)
-        original = spectral.DENSE_EIG_LIMIT
-        spectral.DENSE_EIG_LIMIT = 10
-        try:
-            v_sparse, _ = fiedler_vector(L)
-        finally:
-            spectral.DENSE_EIG_LIMIT = original
-        assert np.abs(np.abs(v_dense) - np.abs(v_sparse)).max() <= 1e-8
-
 
 def glued_hp_laplacian(beta):
     tm = row_normalize(gen_glued_cycles(GluedCyclesSpec(3, 4, 2)))
@@ -181,6 +167,23 @@ SUBSET_CASES = {
 }
 
 
+def spied_solve(L):
+    """fiedler_vector(L), and the keyword arguments and eigenvalues of each
+    la.eigh call it made."""
+    calls = []
+    eigh = la.eigh
+
+    def spy(*args, **kwargs):
+        vals, vecs = eigh(*args, **kwargs)
+        calls.append((kwargs, vals))
+        return vals, vecs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral.la, "eigh", spy)
+        v, _ = fiedler_vector(L)
+    return v, calls
+
+
 def full_solve(L):
     """fiedler_vector with the full eigendecomposition in place of the subset
     solve."""
@@ -192,23 +195,12 @@ def full_solve(L):
 
 class TestFiedlerSubset:
     @pytest.mark.parametrize("case", list(SUBSET_CASES))
-    def test_matches_full_eigendecomposition(self, monkeypatch, case):
+    def test_matches_full_eigendecomposition(self, case):
         L = SUBSET_CASES[case]()
         ref_vals = la.eigh(L, eigvals_only=True)
         ref, _ = full_solve(L)
 
-        calls = []
-        eigh = spectral.la.eigh
-
-        def spy(*args, **kwargs):
-            vals, vecs = eigh(*args, **kwargs)
-            calls.append((kwargs, vals))
-            return vals, vecs
-
-        monkeypatch.setattr(spectral.la, "eigh", spy)
-        v, _ = fiedler_vector(L)
-        monkeypatch.undo()
-
+        v, calls = spied_solve(L)
         (kwargs, vals), = calls
         assert kwargs == {"subset_by_index": [0, 2]}
         want = ref_vals[:3]
@@ -221,3 +213,11 @@ class TestFiedlerSubset:
         # branch node (index 3) must come out positive on either solve.
         _, signs = solve(glued_hp_laplacian(0.5))
         assert "".join("-0+"[s + 1] for s in signs) == "000++++----"
+
+    def test_dense_subset_solve_above_2000_nodes(self):
+        # Large chains take the same three-eigenpair dense solve.
+        L = chung_laplacian(2001, 5)
+        v, calls = spied_solve(L)
+        (kwargs, vals), = calls
+        assert kwargs == {"subset_by_index": [0, 2]}
+        assert la.norm(L @ v - vals[1] * v) <= 1e-8 * la.norm(L)
