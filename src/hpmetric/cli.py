@@ -317,8 +317,13 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .errors import InputError
     from .verify import run_levels
 
+    try:
+        betas = tuple(float(b) for b in args.beta.split(","))
+    except ValueError:
+        raise InputError(f"--beta must be comma-separated numbers, got {args.beta!r}") from None
     if args.model:
         from .graphs import row_normalize
 
@@ -344,7 +349,6 @@ def cmd_verify(args) -> int:
     else:
         tm = _load_chain(args)
     levels = [l.strip() for l in args.levels.split(",") if l.strip()]
-    betas = tuple(float(b) for b in args.beta.split(","))
     report = run_levels(tm, levels, walks=args.walks, seed=args.seed, betas=betas,
                         tol_deg=args.tol_deg)
     print(json.dumps(report, indent=2))

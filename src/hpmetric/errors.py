@@ -9,8 +9,10 @@ class HpMetricError(Exception):
     """Base class for all package errors."""
 
 
-class InputError(HpMetricError):
-    """Bad user input: parse errors, domain violations, usage errors."""
+class InputError(HpMetricError, ValueError):
+    """Bad user input: parse errors, domain violations, usage errors.
+
+    Also a ValueError, so callers that catch ValueError still catch it."""
 
 
 class ParseError(InputError):

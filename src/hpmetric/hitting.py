@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .errors import NumericalError, SimulationDivergenceError
+from .errors import InputError, NumericalError, SimulationDivergenceError
 from .graphs import TransitionMatrix, per_chain
 from .rng import stream
 
@@ -149,9 +149,9 @@ def _excursions(tm: TransitionMatrix, i: int, j: int, walks: int, seed: int,
     raises SimulationDivergenceError.
     """
     if i == j:
-        raise ValueError("source and target must differ")
+        raise InputError("source and target must differ")
     if walks < 1:
-        raise ValueError("need at least one walk")
+        raise InputError(f"need at least one walk, got {walks}")
     draw = _sampler(tm.P)
     rng = stream(seed, 0)
     visits = np.zeros(walks, dtype=np.int64)

@@ -32,6 +32,16 @@ def directed_cycle(n):
     return row_normalize(make_digraph(W))
 
 
+def two_k3_bridge(eps):
+    """Two triangles joined by a bridge of weight eps in each direction."""
+    W = np.zeros((6, 6))
+    W[:3, :3] = 1.0
+    W[3:, 3:] = 1.0
+    np.fill_diagonal(W, 0.0)
+    W[0, 3] = W[3, 0] = eps
+    return row_normalize(make_digraph(W))
+
+
 def pipeline(tm, beta=0.5):
     phi = stationary_distribution(tm)
     Q = hitting_fast(tm)

@@ -7,7 +7,9 @@ structure checks come from per-node breadth-first search and a per-pair loop
 rather than whole-array reachability and row blocks, and the dense CSV
 writer and reader format and parse one value at a time through Python
 strings and floats, holding the whole file's text, rather than streaming
-rows through C-level formatting and parsing.
+rows through C-level formatting and parsing, and the submultiplicativity and
+triangle checks loop over pivots with one n x n temporary each rather than
+sweeping blocks of rows once for every beta.
 """
 
 import itertools
@@ -305,3 +307,28 @@ def oracle_read_dense_csv(path):
             raise ParseError(f"expected {len(labels)} values")
         rows.append([float(v) for v in vals])
     return np.array(rows), labels
+
+
+def oracle_submultiplicativity_slack(Q: np.ndarray) -> float:
+    """Worst violation of Q[i,j] >= Q[i,k] Q[k,j] over distinct triples."""
+    n = Q.shape[0]
+    worst = -np.inf
+    mask_diag = np.eye(n, dtype=bool)
+    for k in range(n):
+        viol = np.outer(Q[:, k], Q[k, :]) - Q
+        viol[k, :] = -np.inf
+        viol[:, k] = -np.inf
+        viol[mask_diag] = -np.inf
+        worst = max(worst, float(viol.max()))
+    return worst
+
+
+def oracle_triangle_slack(D: np.ndarray) -> float:
+    """Worst D[i, j] - (D[i, k] + D[k, j]) over every triple, repeated
+    indices included."""
+    n = D.shape[0]
+    worst_tri = -np.inf
+    for k in range(n):
+        viol = D - (D[:, k][:, None] + D[k, :][None, :])
+        worst_tri = max(worst_tri, float(viol.max()))
+    return worst_tri

@@ -316,6 +316,25 @@ class TestVerifyAndExitCodes:
             assert check["exact"] == pytest.approx(0.75, abs=1e-12)
             assert check["ok"]
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--model", "glued", "--beta", "abc"],
+        ["verify", "--model", "glued", "--beta", ","],
+        ["verify", "--model", "glued", "--levels", "bogus"],
+        ["verify", "--model", "glued", "--levels", "identity,bogus"],
+        ["verify", "--model", "glued", "--levels", ""],
+        ["verify", "--model", "glued", "--levels", "oracle", "--walks", "0"],
+        ["hitprob", "--in", "GLUED", "--mc", "b1", "c1_1", "--walks", "0"],
+        ["hitprob", "--in", "GLUED", "--mc", "b1", "b1"],
+    ], ids=["beta-abc", "beta-comma", "levels-bogus", "levels-partly-bogus", "levels-empty",
+            "verify-walks-0", "hitprob-walks-0", "mc-same-label"])
+    def test_input_errors_exit_2(self, argv, glued_csv, capsys):
+        argv = [str(glued_csv) if a == "GLUED" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_reducible_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,1\n")

@@ -10,22 +10,12 @@ from hpmetric.hitting import (hitting_fast, hitting_reference,
 from hpmetric.metric import degenerate_pairs
 from hpmetric.stationary import stationary_distribution
 
-from conftest import directed_cycle, random_chain
+from conftest import directed_cycle, random_chain, two_k3_bridge
 from oracles import exact_hitting_matrix, oracle_hitting_matrix, oracle_hitting_probability
 
 
 def stack_reference(tm):
     return np.column_stack([hitting_reference(tm, j) for j in range(tm.n)])
-
-
-def two_k3_bridge(eps):
-    """Two triangles joined by a bridge of weight eps in each direction."""
-    W = np.zeros((6, 6))
-    W[:3, :3] = 1.0
-    W[3:, 3:] = 1.0
-    np.fill_diagonal(W, 0.0)
-    W[0, 3] = W[3, 0] = eps
-    return row_normalize(make_digraph(W))
 
 
 class TestReference:

@@ -3,11 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hpmetric import metric
 from hpmetric.errors import InputError, NumericalError, ToleranceError
 from hpmetric.hitting import hitting_fast
-from hpmetric.metric import (HpSimilarity, degenerate_pairs, hp_distance, hp_similarity,
-                             verify_metric_axioms)
+from hpmetric.metric import (HpDistance, HpSimilarity, degenerate_pairs, hp_distance,
+                             hp_similarity, verify_metric_axioms)
 from hpmetric.stationary import StationaryDistribution, stationary_distribution
 
 from conftest import directed_cycle, pipeline, random_chain
@@ -193,13 +192,21 @@ class TestAxioms:
         rep = verify_metric_axioms(dist)
         assert abs(rep["worst_violations"]["triangle"]) <= 1e-12
 
-    def test_sampled_path_above_limit(self, monkeypatch):
-        tm = random_chain(60, seed=2)
+    def test_single_violating_pivot_found_above_500_nodes(self):
+        # Raise D[4, 11] 1e-6 above its best path through one pivot; the
+        # second-best pivot is far away, so exactly one triple per
+        # orientation violates the triangle inequality.
+        tm = random_chain(520, seed=3)
         phi, Q, dist = pipeline(tm, beta=0.75)
-        monkeypatch.setattr(metric, "EXHAUSTIVE_LIMIT", 10)
-        monkeypatch.setattr(metric, "TRIANGLE_SAMPLES", 20000)
-        rep = verify_metric_axioms(dist)
-        assert rep["triangle_ok"]
+        D = dist.D.copy()
+        legs = D[4] + D[:, 11]
+        legs[[4, 11]] = np.inf
+        best, second = np.sort(legs)[:2]
+        assert second - best > 1e-2
+        D[4, 11] = D[11, 4] = best + 1e-6
+        rep = verify_metric_axioms(HpDistance(beta=0.75, D=D, is_pseudo=False))
+        assert rep["symmetry_ok"] and not rep["triangle_ok"]
+        assert rep["worst_violations"]["triangle"] == pytest.approx(1e-6, rel=1e-6)
 
 
 class TestDegeneracy:

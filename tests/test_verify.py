@@ -1,10 +1,18 @@
+import numpy as np
 import pytest
 
 from hpmetric import quotient, verify
 from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles
 from hpmetric.graphs import row_normalize
+from hpmetric.hitting import hitting_fast
+from hpmetric.metric import hp_distance, hp_similarity, verify_metric_axioms
 from hpmetric.rng import stream
-from hpmetric.verify import _oracle_pairs, run_levels
+from hpmetric.stationary import stationary_distribution
+from hpmetric.verify import (TRIANGLE_TOL, _oracle_pairs, level_metric, run_levels,
+                             submultiplicativity_slack)
+
+from conftest import directed_cycle, two_k3_bridge
+from oracles import oracle_submultiplicativity_slack, oracle_triangle_slack
 
 
 def listed_pairs(n, pairs, rng):
@@ -41,3 +49,68 @@ def test_run_levels_orders_each_class_once(monkeypatch):
     assert report["ok"]
     assert report["levels"]["quotient"]["n_classes"] < tm.n
     assert len(calls) == len(set(calls)) >= 3
+
+
+BETAS = (0.5, 0.75, 1.0)
+ORACLE_CHAINS = ([f"acceptance-{t}" for t in range(50)]
+                 + ["glued-3-4-2", "glued-3-3-3", "glued-5-40-3"]
+                 + [f"cycle-{n}" for n in (1, 2, 3, 7)]
+                 + ["two-k3-1e-2", "two-k3-1e-4"])
+
+
+def oracle_chain(name, acceptance_suite):
+    family, _, arg = name.partition("-")
+    if family == "acceptance":
+        return acceptance_suite[int(arg)]
+    if family == "glued":
+        return row_normalize(gen_glued_cycles(GluedCyclesSpec(*map(int, arg.split("-")))))
+    if family == "cycle":
+        return directed_cycle(int(arg))
+    return two_k3_bridge(float(arg.partition("-")[2]))
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestPivotSweepAgainstOracles:
+    """The one pivot sweep against the per-pivot loops it replaced: every
+    triple of every chain, including the repeated-index triples that decide
+    glued (5, 40, 3) at beta = 1/2, where D has entries near -1.3e-14."""
+
+    @pytest.mark.parametrize("name", ORACLE_CHAINS)
+    def test_submultiplicativity_bits(self, name, acceptance_suite):
+        Q = hitting_fast(oracle_chain(name, acceptance_suite)).Q
+        assert bits(submultiplicativity_slack(Q)) == bits(oracle_submultiplicativity_slack(Q))
+
+    @pytest.mark.parametrize("name", ORACLE_CHAINS)
+    def test_triangle_bits_and_derived_betas(self, name, acceptance_suite):
+        tm = oracle_chain(name, acceptance_suite)
+        phi, Q = stationary_distribution(tm), hitting_fast(tm)
+        got = level_metric(tm, BETAS)
+        for beta in BETAS:
+            dist = hp_distance(hp_similarity(Q, phi, beta))
+            want = oracle_triangle_slack(dist.D)
+            rep = verify_metric_axioms(dist, tol=TRIANGLE_TOL)
+            assert bits(rep["worst_violations"]["triangle"]) == bits(want)
+            assert rep["triangle_ok"] == (want <= TRIANGLE_TOL)
+            derived = got[f"beta={beta:g}"]["triangle"]
+            if beta == BETAS[0]:
+                assert bits(derived["value"]) == bits(want)
+            else:
+                assert abs(derived["value"] - want) <= 1e-15
+            assert derived["ok"] == (want <= TRIANGLE_TOL)
+
+    def test_glued_5_40_3_is_decided_by_a_repeated_index(self):
+        tm = row_normalize(gen_glued_cycles(GluedCyclesSpec(5, 40, 3)))
+        D = hp_distance(hp_similarity(hitting_fast(tm), stationary_distribution(tm), 0.5)).D
+        worst = oracle_triangle_slack(D)
+        assert worst > 0.0 and D.min() < 0.0
+        assert worst == float((-(D + D.T)).max())
+
+    def test_beta_order_only_orders_the_report(self):
+        # The sweep runs at the smallest beta whatever the requested order.
+        tm = row_normalize(gen_glued_cycles(GluedCyclesSpec(5, 40, 3)))
+        forward, backward = level_metric(tm, BETAS), level_metric(tm, BETAS[::-1])
+        assert list(backward) == list(forward)[::-1]
+        assert backward == forward
