@@ -118,15 +118,21 @@ def cmd_metric(args) -> int:
 
     started = time.time()
     tm = _load_chain(args)
+    labels = tm.labels
     phi = stationary_distribution(tm)
-    sim = hp_similarity(hitting_fast(tm), phi, args.beta)
+    hp = hitting_fast(tm)
+    sim = hp_similarity(hp, phi, args.beta)
+    # Dropped after hp_similarity, not before: the earlier drop lowers the
+    # traced peak to 3.05 n x n, but in a process that repeats the command it
+    # fragmented the heap and raised peak RSS by one n x n in half the runs.
+    del tm, hp  # P, and the memo that also holds Q
     dist = hp_distance(sim, tol_deg=args.tol_deg)
-    write_dense_csv(args.out, dist.D, tm.labels)
+    write_dense_csv(args.out, dist.D, labels)
     params = {"input": args.input, "beta": args.beta, "tol_deg": args.tol_deg,
               "is_pseudo": dist.is_pseudo}
     write_meta(args.out, "metric", params, started=started)
     if args.similarity:
-        write_dense_csv(args.similarity, sim.A, tm.labels)
+        write_dense_csv(args.similarity, sim.A, labels)
         write_meta(args.similarity, "metric", params, started=started)
     return 0
 
@@ -177,11 +183,15 @@ def cmd_fiedler(args) -> int:
 
     started = time.time()
     tm = _load_chain(args)
+    labels = tm.labels
     phi = stationary_distribution(tm)
     op = symmetrize(tm, phi, args.method, beta=args.beta)
-    v, signs = fiedler_vector(operator_laplacian(op))
+    del tm
+    L = operator_laplacian(op)
+    del op
+    v, signs = fiedler_vector(L)
     sign_chars = ["-" if s < 0 else ("+" if s > 0 else "0") for s in signs]
-    write_column_csv(args.out, tm.labels, {"value": v, "sign": sign_chars})
+    write_column_csv(args.out, labels, {"value": v, "sign": sign_chars})
     write_meta(args.out, "fiedler",
                {"input": args.input, "method": args.method, "beta": args.beta},
                started=started)

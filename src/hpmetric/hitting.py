@@ -44,25 +44,23 @@ class HittingProbabilities:
         return self.Q.shape[0]
 
 
-def _column_matrix(P: np.ndarray, j: int) -> np.ndarray:
-    # I - P with row j overwritten by e_j (equivalently I - P + e_j e_j^T P).
-    M = np.eye(P.shape[0]) - P
-    M[j, :] = 0.0
-    M[j, j] = 1.0
-    return M
-
-
 def hitting_reference(tm: TransitionMatrix, j: int) -> np.ndarray:
     """Column j of Q by an independent dense factorization.
 
-    Q[i, j] = inv(M)[i, j] / inv(M)[i, i] with M = I - P + e_j e_j^T P.
+    Q[i, j] = inv(M)[i, j] / inv(M)[i, i] with M = I - P + e_j e_j^T P, that
+    is I - P with row j replaced by e_j, built and inverted in one
+    Fortran-ordered n x n buffer.
     """
     n = tm.n
     if not 0 <= j < n:
         raise IndexError(f"state {j} out of range for n={n}")
-    M = _column_matrix(tm.P, j)
+    M = np.empty((n, n), order="F")
+    np.subtract(0.0, tm.P, out=M)  # 0 - P, not -P: zeros stay +0.0 as in I - P
+    M.flat[:: n + 1] += 1.0
+    M[j, :] = 0.0
+    M[j, j] = 1.0
     try:
-        inv = la.inv(M)
+        inv = la.inv(M, overwrite_a=True)
     except la.LinAlgError as exc:
         raise NumericalError(f"column matrix for state {j} is singular: {exc}") from exc
     col = inv[:, j] / np.diag(inv)

@@ -63,14 +63,14 @@ def _q_matrix(Q) -> np.ndarray:
 
 
 def hp_similarity(Q, phi: StationaryDistribution, beta: float) -> HpSimilarity:
-    """Build the similarity matrix at the given beta >= 1/2.
+    """Build the similarity matrix at the given finite beta >= 1/2.
 
     The result is explicitly symmetrized as (A + A^T)/2; the asymmetry before
     symmetrization is recorded and must be tiny, otherwise Q and phi do not
     come from the same chain.
     """
-    if beta < 0.5:
-        raise InputError(f"beta must be >= 0.5, got {beta}")
+    if not 0.5 <= beta < np.inf:  # also false for NaN
+        raise InputError(f"beta must be finite and >= 0.5, got {beta}")
     Qm = _q_matrix(Q)
     p = phi.phi
     A = np.multiply.outer(p**beta, p ** (beta - 1.0))

@@ -6,10 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
+from hpmetric import files
 from hpmetric.cli import build_parser, main
 from hpmetric.errors import ParseError
 from hpmetric.files import read_dense_csv, write_column_csv, write_dense_csv, write_edge_csv
-from hpmetric.graphs import make_digraph
+from hpmetric.generators import gen_random_strongly_connected
+from hpmetric.graphs import make_digraph, row_normalize
+from hpmetric.hitting import hitting_fast
+from hpmetric.metric import hp_distance, hp_similarity
+from hpmetric.stationary import stationary_distribution
 
 from oracles import oracle_read_dense_csv, oracle_write_column_csv, oracle_write_dense_csv
 
@@ -29,6 +34,26 @@ SPECIAL = np.array([[0.0, -0.0, np.inf, -np.inf],
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def random_bit_patterns():
+    M = np.random.default_rng(11).integers(0, 2**64, size=(125, 1000), dtype=np.uint64)
+    M = M.view(np.float64)
+    M[~np.isfinite(M)] = 0.5
+    return M
+
+
+def powers_of_ten_and_neighbours():
+    p = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    return np.stack([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p])
+
+
+def specials_and_extremes():
+    tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    row = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+                    np.nextafter(tiny, 0.0), tiny, -tiny, huge, -huge,
+                    1.0 + 2.0**-17, 0.5, 1e-4, 1e-5, 1e16, 1e17, 2.0**60, 100.0])
+    return np.stack([row, row[::-1]])
 
 
 class TestDenseRoundTrip:
@@ -59,7 +84,11 @@ class TestDenseRoundTrip:
         (np.array([[0.25]]), ["only"]),
         (np.random.default_rng(3).random((5, 5)) * 1e5, ["α", "β", "γ", "ß", "東"]),
         (np.zeros((0, 2)), ["a", "b"]),
-    ], ids=["special", "1x1", "non-ascii", "no-rows"])
+        (random_bit_patterns(), [f"n{i}" for i in range(1000)]),
+        (powers_of_ten_and_neighbours(), [f"n{i}" for i in range(616)]),
+        (specials_and_extremes(), [f"n{i}" for i in range(21)]),
+    ], ids=["special", "1x1", "non-ascii", "no-rows", "random-bits", "powers-of-ten",
+            "specials-and-extremes"])
     def test_bytes_and_values_match_oracle(self, tmp_path, M, labels):
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         write_dense_csv(new, M, labels)
@@ -121,6 +150,31 @@ class TestDenseRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * n * n
+
+
+class TestDenseWriterFallback:
+    def test_cli_session_matrices_match_oracle(self, tmp_path):
+        tm = row_normalize(gen_random_strongly_connected(1000, p=0.02, seed=1))
+        sim = hp_similarity(hitting_fast(tm), stationary_distribution(tm), 0.5)
+        for M in (hp_distance(sim).D, sim.A):
+            new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+            write_dense_csv(new, M, tm.labels)
+            oracle_write_dense_csv(old, M, tm.labels)
+            assert new.read_bytes() == old.read_bytes()
+
+    def test_margin_of_one_half_sends_every_value_to_the_fallback(self, tmp_path, monkeypatch):
+        M = np.random.default_rng(12).standard_normal((20, 30)) * 10.0 ** np.arange(-9, 21)
+        labels = [f"n{i}" for i in range(30)]
+        monkeypatch.setattr(files, "_MARGIN", 0.5)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_dense_csv(new, M, labels)
+        oracle_write_dense_csv(old, M, labels)
+        assert new.read_bytes() == old.read_bytes()
+        # Every value now goes through FLOAT_FMT, so a coarser one shows everywhere.
+        monkeypatch.setattr(files, "FLOAT_FMT", "%.3g")
+        write_dense_csv(new, M, labels)
+        assert new.read_text().splitlines()[1:] == [",".join("%.3g" % v for v in r)
+                                                    for r in M.tolist()]
 
 
 class TestSmallWriters:
@@ -334,6 +388,22 @@ class TestVerifyAndExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["metric", "verify"])
+    def test_non_finite_beta_exit_2(self, command, beta, glued_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {"metric": ["metric", "--in", str(glued_csv), "--beta", beta,
+                           "--out", str(out / "d.csv"), "--similarity", str(out / "a.csv")],
+                "verify": ["verify", "--in", str(glued_csv), "--levels", "metric",
+                           "--beta", beta]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: beta must be finite")
+        assert list(out.iterdir()) == []
 
     def test_reducible_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -59,6 +59,13 @@ class TestSimilarity:
         with pytest.raises(InputError):
             hp_similarity(Q, phi, 0.49)
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        tm = directed_cycle(3)
+        phi, Q, _ = pipeline(tm)
+        with pytest.raises(InputError, match="finite"):
+            hp_similarity(Q, phi, beta)
+
     def test_mismatched_inputs_rejected(self):
         tm = random_chain(10, seed=1)
         other = random_chain(10, seed=2)
