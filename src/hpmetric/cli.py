@@ -77,10 +77,8 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_hitprob(args) -> int:
-    import numpy as np
-
     from .files import write_dense_csv, write_meta
-    from .hitting import hitting_fast, hitting_reference, simulate_hit_before_return
+    from .hitting import hitting_by_reduction, hitting_fast, simulate_hit_before_return
 
     from .errors import InputError
 
@@ -100,7 +98,7 @@ def cmd_hitprob(args) -> int:
     if not args.out:
         raise InputError("hitprob needs --out (or --mc I J)")
     if args.reference:
-        Q = np.column_stack([hitting_reference(tm, j) for j in range(tm.n)])
+        Q = hitting_by_reduction(tm)
     else:
         Q = hitting_fast(tm).Q
     write_dense_csv(args.out, Q, tm.labels)

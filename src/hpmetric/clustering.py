@@ -196,16 +196,3 @@ def empirical_p_value(accuracy: float, n: int, k: int, trials: int = 4000,
             at_least += 1
     return (at_least + 1) / (trials + 1)
 
-
-def distance_curves(reference: int, distances: dict) -> dict:
-    """Rescale each named distance-from-reference vector to [0, 1] and order
-    nodes by the first named distance, for side-by-side curve comparison."""
-    names = list(distances)
-    base = np.asarray(distances[names[0]], dtype=float)
-    order = np.argsort(np.delete(base, reference), kind="stable")
-    out = {"order": order}
-    for name in names:
-        d = np.delete(np.asarray(distances[name], dtype=float), reference)[order]
-        lo, hi = d.min(), d.max()
-        out[name] = (d - lo) / (hi - lo) if hi > lo else np.zeros_like(d)
-    return out

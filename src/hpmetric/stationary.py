@@ -41,12 +41,18 @@ def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
     read-only.
     """
     n = tm.n
-    A = tm.P.T - np.eye(n)
+    # P^T - I and the normalization row, built in the one buffer that the
+    # solve then factors in place.  "gen" skips scipy's structure detection:
+    # from n = 3 it finds no structure in A, and at n = 2 its symmetric path
+    # (A is symmetric when P[1, 0] = 1) crashes when told to overwrite A in
+    # scipy 1.17.
+    A = tm.P.T.copy(order="F")
+    A.flat[:: n + 1] -= 1.0
     A[n - 1, :] = 1.0
     b = np.zeros(n)
     b[n - 1] = 1.0
     try:
-        phi = la.solve(A, b)
+        phi = la.solve(A, b, overwrite_a=True, assume_a="gen")
     except la.LinAlgError as exc:
         raise NumericalError(f"stationary solve failed: {exc}") from exc
 

@@ -5,9 +5,11 @@ Levels: 'identity' (balance, submultiplicativity, fast/reference agreement),
 bounds), 'oracle' (Monte Carlo agreement with the exact solver).  Each check
 reports its observed value, tolerance, and pass flag.
 
-Submultiplicativity and the triangle inequality are checked on every triple
-at every n, each by one ``pivot_maxima`` sweep; the triangle sweep serves
-every beta.
+Nothing is sampled.  Submultiplicativity and the triangle inequality are
+checked on every triple at every n, each by one ``pivot_maxima`` sweep; the
+triangle sweep serves every beta.  Every entry of the fast Q is compared with
+the state-reduction Q of ``hitting_by_reduction``, which shares no step with
+the fast path and costs O(n^3).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import TransitionMatrix
-from .hitting import (hitting_fast, hitting_reference, simulate_hit_before_return,
+from .hitting import (hitting_by_reduction, hitting_fast, simulate_hit_before_return,
                       simulate_visit_counts)
 from .metric import (axiom_report, degenerate_pairs, hp_distance, hp_similarity,
                      pivot_maxima, repeated_index_slack)
@@ -37,10 +39,6 @@ QUOTIENT_TOL = 1e-9
 # only carries ~1e-10 accuracy, so deterministic pairs (SE = 0) must not fail
 # on representation noise.
 MC_GUARD = 1e-9
-
-# level_identity compares every column of Q with the reference solver up to
-# this many nodes, and 10 random columns above it.
-MAX_REFERENCE_N = 300
 
 # Node pairs level_oracle simulates: hit probabilities for all of them,
 # visit counts for the first half.
@@ -64,13 +62,9 @@ def level_identity(tm: TransitionMatrix) -> dict:
     Q = hp.Q
     balance = np.abs(Q * phi.phi[:, None] - Q.T * phi.phi[None, :]).max()
     submult = submultiplicativity_slack(Q)
-    if tm.n <= MAX_REFERENCE_N:
-        cols = range(tm.n)
-    else:
-        cols = stream(0, tm.n).choice(tm.n, size=10, replace=False)
-    ref_err = 0.0
-    for j in cols:
-        ref_err = max(ref_err, float(np.abs(hitting_reference(tm, int(j)) - Q[:, j]).max()))
+    ref = hitting_by_reduction(tm)
+    ref -= Q
+    ref_err = np.abs(ref, out=ref).max()
     return {
         "row_sums": _check(np.abs(tm.P.sum(axis=1) - 1.0).max(), 1e-12),
         "stationary_residual": _check(np.abs(tm.P.T @ phi.phi - phi.phi).max(), 1e-10),

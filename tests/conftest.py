@@ -53,6 +53,21 @@ def random_chain(n, seed):
     return row_normalize(gen_random_strongly_connected(n, seed=seed))
 
 
+def named_chain(name, acceptance_suite):
+    """The chain a test id names: acceptance-T, glued-NB-NC-C, cycle-N,
+    random-N (seed N) or two-k3-EPS."""
+    family, _, arg = name.partition("-")
+    if family == "acceptance":
+        return acceptance_suite[int(arg)]
+    if family == "glued":
+        return row_normalize(gen_glued_cycles(GluedCyclesSpec(*map(int, arg.split("-")))))
+    if family == "cycle":
+        return directed_cycle(int(arg))
+    if family == "random":
+        return random_chain(int(arg), seed=int(arg))
+    return two_k3_bridge(float(arg.partition("-")[2]))
+
+
 @pytest.fixture(scope="session")
 def acceptance_suite():
     """50 random strongly connected digraphs with n in [5, 200], shared by the

@@ -9,7 +9,9 @@ writer and reader format and parse one value at a time through Python
 strings and floats, holding the whole file's text, rather than streaming
 rows through C-level formatting and parsing, and the submultiplicativity and
 triangle checks loop over pivots with one n x n temporary each rather than
-sweeping blocks of rows once for every beta.
+sweeping blocks of rows once for every beta, and the stationary solve builds
+P^T - I from an identity matrix and lets scipy copy it rather than building
+and factoring one buffer in place.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as la
 
 from hpmetric.errors import ParseError, StructureError
 from hpmetric.quotient import OrderedClass, SegmentLabeling
@@ -65,6 +68,19 @@ def _solve_exact(A, b) -> list:
                 f = rows[r][c]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
     return [row[m] for row in rows]
+
+
+def oracle_stationary_lu(P: np.ndarray) -> np.ndarray:
+    """phi from P^T - I with its last row replaced by ones, solved by scipy on
+    a copy after its structure detection, then clamped and normalized as
+    ``stationary_distribution`` does."""
+    n = P.shape[0]
+    A = P.T - np.eye(n)
+    A[n - 1, :] = 1.0
+    b = np.zeros(n)
+    b[n - 1] = 1.0
+    phi = np.maximum(la.solve(A, b), 1e-300)
+    return phi / phi.sum()
 
 
 def exact_hitting_matrix(P: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hpmetric.clustering import (distance_curves, empirical_p_value, kmeans,
-                                 kmedoids, pca_embed, purity_accuracy)
+from hpmetric.clustering import (empirical_p_value, kmeans, kmedoids, pca_embed,
+                                 purity_accuracy)
 from hpmetric.errors import InputError
 
 from oracles import oracle_best_two_partition, oracle_one_median, oracle_purity
@@ -155,13 +155,3 @@ class TestEmpiricalPValue:
         b = empirical_p_value(0.4, 60, 3, trials=300, seed=5)
         assert a == b
 
-
-class TestDistanceCurves:
-    def test_rescaling_and_order(self):
-        d_main = np.array([0.0, 3.0, 1.0, 2.0])
-        d_other = np.array([0.0, 6.0, 2.0, 4.0])
-        out = distance_curves(0, {"main": d_main, "other": d_other})
-        assert np.array_equal(out["order"], [1, 2, 0])  # nodes 2, 3, 1 by d
-        assert out["main"].min() == 0.0 and out["main"].max() == 1.0
-        # identical shape after rescaling
-        assert np.allclose(out["main"], out["other"])

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpmetric.errors import NumericalError, SimulationDivergenceError
 from hpmetric.generators import gen_random_strongly_connected
 from hpmetric.graphs import make_digraph, row_normalize
-from hpmetric.hitting import (hitting_fast, hitting_reference,
+from hpmetric.hitting import (hitting_by_reduction, hitting_fast, hitting_reference,
                               simulate_hit_before_return, simulate_visit_counts)
 from hpmetric.metric import degenerate_pairs
 from hpmetric.stationary import stationary_distribution
 
-from conftest import directed_cycle, random_chain, two_k3_bridge
+from conftest import directed_cycle, named_chain, random_chain, two_k3_bridge
 from oracles import exact_hitting_matrix, oracle_hitting_matrix, oracle_hitting_probability
 
 
@@ -127,6 +129,66 @@ class TestFast:
         exact = exact_hitting_matrix(tm.P)
         off = ~np.eye(6, dtype=bool)
         assert (np.abs(result.Q - exact)[off] / exact[off]).max() <= rtol
+
+
+def relative_error(Q, exact):
+    off = ~np.eye(exact.shape[0], dtype=bool)
+    return float((np.abs(Q - exact)[off] / exact[off]).max())
+
+
+REDUCTION_CHAINS = ([f"acceptance-{t}" for t in range(50)]
+                    + ["glued-3-4-2", "glued-5-40-3"]
+                    + [f"cycle-{n}" for n in (1, 2, 3, 7)]
+                    + [f"random-{n}" for n in (3, 5, 9, 17, 33, 65)])
+
+
+class TestReduction:
+    @pytest.mark.parametrize("name", REDUCTION_CHAINS)
+    def test_matches_stacked_reference(self, name, acceptance_suite):
+        tm = named_chain(name, acceptance_suite)
+        Q = hitting_by_reduction(tm)
+        assert Q.shape == (tm.n, tm.n)
+        assert np.all(np.diag(Q) == 0.0)
+        assert np.abs(Q - stack_reference(tm)).max() <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-11, 1e-12, 1e-14])
+    def test_bridge_chain_against_exact_oracle(self, eps):
+        # No cancellation: every censored transition is a sum of nonnegative
+        # terms, and each eliminated block's diagonal is the mass leaving it.
+        tm = two_k3_bridge(eps)
+        assert relative_error(hitting_by_reduction(tm), exact_hitting_matrix(tm.P)) <= 1e-14
+
+    def test_self_loops_against_exact_oracle(self):
+        # The reduction drops self-loops: they only delay the walk.
+        rng = np.random.default_rng(0)
+        W = rng.random((8, 8)) * (rng.random((8, 8)) < 0.5)
+        W[np.arange(8), (np.arange(8) + 1) % 8] += 1.0
+        np.fill_diagonal(W, 5.0 * rng.random(8))
+        tm = row_normalize(make_digraph(W))
+        assert relative_error(hitting_by_reduction(tm), exact_hitting_matrix(tm.P)) <= 1e-14
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_weight_spreads_against_exact_oracle(self, n, seed):
+        # Weights spread over 12 decades, with a cycle for connectivity.  The
+        # LU inside each eliminated block subtracts, so neither path is
+        # exact; the reduction must stay within 10x of the per-column loop,
+        # whose error is taken as the larger of the one observed and its
+        # first-order bound u * cond_1 over the loop's column matrices.
+        rng = np.random.default_rng(seed)
+        W = rng.random((n, n)) * (rng.random((n, n)) < 0.6) * 10.0 ** rng.uniform(-12, 0, (n, n))
+        np.fill_diagonal(W, 0.0)
+        W[np.arange(n), (np.arange(n) + 1) % n] += 10.0 ** rng.uniform(-12, 0, n)
+        tm = row_normalize(make_digraph(W))
+        exact = exact_hitting_matrix(tm.P)
+        cond = 0.0
+        for j in range(n):
+            M = np.eye(n) - tm.P
+            M[j] = np.eye(n)[j]
+            cond = max(cond, np.linalg.cond(M, 1))
+        loop = max(relative_error(stack_reference(tm), exact), np.finfo(float).eps / 2 * cond)
+        assert relative_error(hitting_by_reduction(tm), exact) <= 10.0 * loop
 
 
 def count_chain_solves(monkeypatch):

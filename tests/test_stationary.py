@@ -9,6 +9,7 @@ from hpmetric.hitting import hitting_fast
 from hpmetric.stationary import stationary_distribution
 
 from conftest import directed_cycle, random_chain
+from oracles import oracle_stationary_lu
 
 
 def test_directed_3_cycle_uniform():
@@ -49,6 +50,11 @@ def test_invariants_on_random_chains():
         assert abs(phi.sum() - 1.0) <= 1e-12
         assert np.abs(tm.P.T @ phi - phi).max() <= 1e-10
         assert phi.min() > 0
+
+
+def test_in_place_solve_keeps_the_bits(acceptance_suite):
+    for tm in acceptance_suite:
+        assert np.array_equal(stationary_distribution(tm).phi, oracle_stationary_lu(tm.P))
 
 
 def test_scale_invariance():

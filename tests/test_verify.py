@@ -4,14 +4,14 @@ import pytest
 from hpmetric import quotient, verify
 from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles
 from hpmetric.graphs import row_normalize
-from hpmetric.hitting import hitting_fast
+from hpmetric.hitting import HittingProbabilities, hitting_fast
 from hpmetric.metric import hp_distance, hp_similarity, verify_metric_axioms
 from hpmetric.rng import stream
 from hpmetric.stationary import stationary_distribution
 from hpmetric.verify import (TRIANGLE_TOL, _oracle_pairs, level_metric, run_levels,
                              submultiplicativity_slack)
 
-from conftest import directed_cycle, two_k3_bridge
+from conftest import named_chain, random_chain
 from oracles import oracle_submultiplicativity_slack, oracle_triangle_slack
 
 
@@ -51,22 +51,25 @@ def test_run_levels_orders_each_class_once(monkeypatch):
     assert len(calls) == len(set(calls)) >= 3
 
 
+def test_identity_compares_every_column(monkeypatch):
+    # One entry of Q moved by 1e-6 in a column that a 10-column sample drawn
+    # by stream(0, n), the sample once taken above 300 states, leaves out.
+    tm = random_chain(400, seed=3)
+    sampled = set(stream(0, tm.n).choice(tm.n, size=10, replace=False).tolist())
+    j = min(set(range(tm.n)) - sampled)
+    Q = hitting_fast(tm).Q.copy()
+    Q[j + 1, j] += 1e-6
+    monkeypatch.setattr(verify, "hitting_fast", lambda _: HittingProbabilities(Q=Q))
+    check = verify.level_identity(tm)["fast_vs_reference"]
+    assert not check["ok"]
+    assert check["value"] == pytest.approx(1e-6, rel=1e-6)
+
+
 BETAS = (0.5, 0.75, 1.0)
 ORACLE_CHAINS = ([f"acceptance-{t}" for t in range(50)]
                  + ["glued-3-4-2", "glued-3-3-3", "glued-5-40-3"]
                  + [f"cycle-{n}" for n in (1, 2, 3, 7)]
                  + ["two-k3-1e-2", "two-k3-1e-4"])
-
-
-def oracle_chain(name, acceptance_suite):
-    family, _, arg = name.partition("-")
-    if family == "acceptance":
-        return acceptance_suite[int(arg)]
-    if family == "glued":
-        return row_normalize(gen_glued_cycles(GluedCyclesSpec(*map(int, arg.split("-")))))
-    if family == "cycle":
-        return directed_cycle(int(arg))
-    return two_k3_bridge(float(arg.partition("-")[2]))
 
 
 def bits(x):
@@ -80,12 +83,12 @@ class TestPivotSweepAgainstOracles:
 
     @pytest.mark.parametrize("name", ORACLE_CHAINS)
     def test_submultiplicativity_bits(self, name, acceptance_suite):
-        Q = hitting_fast(oracle_chain(name, acceptance_suite)).Q
+        Q = hitting_fast(named_chain(name, acceptance_suite)).Q
         assert bits(submultiplicativity_slack(Q)) == bits(oracle_submultiplicativity_slack(Q))
 
     @pytest.mark.parametrize("name", ORACLE_CHAINS)
     def test_triangle_bits_and_derived_betas(self, name, acceptance_suite):
-        tm = oracle_chain(name, acceptance_suite)
+        tm = named_chain(name, acceptance_suite)
         phi, Q = stationary_distribution(tm), hitting_fast(tm)
         got = level_metric(tm, BETAS)
         for beta in BETAS:
