@@ -98,12 +98,13 @@ def cmd_hitprob(args) -> int:
     if not args.out:
         raise InputError("hitprob needs --out (or --mc I J)")
     if args.reference:
-        Q = hitting_by_reduction(tm)
+        Q, reference = hitting_by_reduction(tm), True
     else:
-        Q = hitting_fast(tm).Q
+        hp = hitting_fast(tm)
+        Q, reference = hp.Q, hp.used_reference
     write_dense_csv(args.out, Q, tm.labels)
     write_meta(args.out, "hitprob",
-               {"input": args.input, "path": "reference" if args.reference else "fast"},
+               {"input": args.input, "path": "reference" if reference else "fast"},
                started=started)
     return 0
 

@@ -93,7 +93,8 @@ class TransitionMatrix:
         comps = strongly_connected_components(P > 0.0)
         if len(comps) != 1:
             raise IrreducibilityError(
-                f"support graph has {len(comps)} strongly connected components"
+                f"support graph has {len(comps)} strongly connected components; "
+                "restrict to one (largest_scc) first"
             )
 
     def __getstate__(self):
@@ -154,21 +155,16 @@ def largest_scc(g: WeightedDigraph):
 def row_normalize(g: WeightedDigraph) -> TransitionMatrix:
     """Divide each row by its sum to obtain a transition matrix.
 
-    Raises on zero rows (naming the node) and on reducible support.
+    Raises IrreducibilityError on a zero row, naming the node;
+    ``TransitionMatrix`` rejects any other reducible support.
     """
     if g.n > DENSE_LIMIT:
         raise InputError(f"n={g.n} exceeds the dense limit of {DENSE_LIMIT}")
     w = np.asarray(g.weights.todense(), dtype=float)
-    comps = strongly_connected_components(g.weights)
-    if len(comps) != 1:
-        raise IrreducibilityError(
-            f"support graph has {len(comps)} strongly connected components; "
-            "restrict to one (largest_scc) first"
-        )
     sums = w.sum(axis=1)
     zero = np.nonzero(sums <= 0.0)[0]
     if zero.size:
-        raise InputError(f"node {g.labels[zero[0]]!r} has no outgoing weight")
+        raise IrreducibilityError(f"node {g.labels[zero[0]]!r} has no outgoing weight")
     w /= sums[:, None]  # w is a fresh dense copy: P takes its buffer
     return TransitionMatrix(n=g.n, P=w, labels=list(g.labels))
 

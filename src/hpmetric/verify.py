@@ -9,7 +9,7 @@ Nothing is sampled.  Submultiplicativity and the triangle inequality are
 checked on every triple at every n, each by one ``pivot_maxima`` sweep; the
 triangle sweep serves every beta.  Every entry of the fast Q is compared with
 the state-reduction Q of ``hitting_by_reduction``, which shares no step with
-the fast path and costs O(n^3).
+the fast path and costs O(n^3); ``used_reference`` flags a fast Q made by it.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ def level_identity(tm: TransitionMatrix) -> dict:
         "detailed_balance": _check(balance, BALANCE_TOL),
         "submultiplicativity": _check(submult, SUBMULT_TOL),
         "fast_vs_reference": _check(ref_err, FAST_REF_TOL),
+        "used_reference": hp.used_reference,
     }
 
 

@@ -238,6 +238,17 @@ class TestSubcommands:
         assert meta["command"] == "hitprob"
         assert meta["parameters"]["path"] == "fast"
 
+    def test_hitprob_meta_names_fallback_path(self, tmp_path):
+        # Two triangles joined by a 1e-14 bridge: hitting_fast falls back to
+        # state reduction, and the meta says so.
+        src = tmp_path / "bridge.csv"
+        src.write_text("a,b\nb,c\nc,a\nb,a\nc,b\na,c\n"
+                       "x,y\ny,z\nz,x\ny,x\nz,y\nx,z\na,x,1e-14\nx,a,1e-14\n")
+        out = tmp_path / "q.csv"
+        assert main(["hitprob", "--in", str(src), "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "q.meta.json").read_text())
+        assert meta["parameters"]["path"] == "reference"
+
     def test_hitprob_reference_matches_fast(self, glued_csv, tmp_path):
         fast = tmp_path / "qf.csv"
         ref = tmp_path / "qr.csv"

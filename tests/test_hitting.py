@@ -114,11 +114,41 @@ class TestFast:
 
     def test_condition_fallback_on_near_decoupled_chain(self):
         # Two cliques joined by nearly-zero mass: cond(I - P + 11^T/n) ~ 1/eps
-        # forces the all-columns reference path.
+        # forces the state-reduction path.
         tm = two_k3_bridge(1e-14)
         result = hitting_fast(tm)
         assert result.used_reference
-        assert np.abs(result.Q - stack_reference(tm)).max() == 0.0
+        assert np.array_equal(result.Q, hitting_by_reduction(tm))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_near_decomposable_blocks_against_exact_oracle(self, seed):
+        # Unlike two_k3_bridge's uniform weights, random block weights make
+        # n inverses of the per-column matrices lose up to 6e-3 here.
+        tm = two_random_blocks(seed)
+        result = hitting_fast(tm)
+        assert result.used_reference
+        assert relative_error(result.Q, exact_hitting_matrix(tm.P)) <= 1e-14
+
+    def test_fallback_inverts_once(self, monkeypatch):
+        calls = []
+        inv = la.inv
+
+        def counting(M, *args, **kwargs):
+            calls.append(M.shape)
+            return inv(M, *args, **kwargs)
+
+        monkeypatch.setattr(la, "inv", counting)
+        assert hitting_fast(two_random_blocks(13)).used_reference
+        assert calls == [(8, 8)]
+
+    def test_singular_inverse_takes_reduction(self, monkeypatch):
+        tm = random_chain(10, seed=4)
+
+        monkeypatch.setattr(la, "inv", singular)
+        result = hitting_fast(tm)
+        assert result.used_reference
+        assert not result.Q.flags.writeable
+        assert np.array_equal(result.Q, hitting_by_reduction(tm))
 
     @pytest.mark.parametrize("eps,reference,rtol", [(1e-4, False, 1e-10),
                                                     (1e-12, True, 1e-14)])
@@ -129,6 +159,18 @@ class TestFast:
         exact = exact_hitting_matrix(tm.P)
         off = ~np.eye(6, dtype=bool)
         assert (np.abs(result.Q - exact)[off] / exact[off]).max() <= rtol
+
+
+def two_random_blocks(seed, eps=1e-13):
+    """Two random 4-state blocks, zero diagonal, joined by an edge of weight
+    eps in each direction between states 0 and 4."""
+    rng = np.random.default_rng(seed)
+    W = np.zeros((8, 8))
+    W[:4, :4] = rng.random((4, 4))
+    W[4:, 4:] = rng.random((4, 4))
+    np.fill_diagonal(W, 0.0)
+    W[0, 4] = W[4, 0] = eps
+    return row_normalize(make_digraph(W))
 
 
 def relative_error(Q, exact):
@@ -191,6 +233,10 @@ class TestReduction:
         assert relative_error(hitting_by_reduction(tm), exact) <= 10.0 * loop
 
 
+def singular(M, *args, **kwargs):
+    raise la.LinAlgError("singular matrix")
+
+
 def count_chain_solves(monkeypatch):
     """Record the size of every stationary solve, and of every inverse of a
     matrix with unit row sums, which is I - P + 11^T/n for a chain P; the
@@ -227,12 +273,12 @@ class TestMemo:
             result.Q[0, 1] = 0.5
 
     def test_failed_call_stores_nothing(self, monkeypatch):
+        # A singular inverse sends the chain to state reduction, whose own
+        # singular block still raises.
         tm = random_chain(10, seed=4)
 
-        def singular(M, *args, **kwargs):
-            raise la.LinAlgError("singular matrix")
-
         monkeypatch.setattr(la, "inv", singular)
+        monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(NumericalError):
             hitting_fast(tm)
         monkeypatch.undo()

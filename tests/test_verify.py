@@ -11,7 +11,7 @@ from hpmetric.stationary import stationary_distribution
 from hpmetric.verify import (TRIANGLE_TOL, _oracle_pairs, level_metric, run_levels,
                              submultiplicativity_slack)
 
-from conftest import named_chain, random_chain
+from conftest import named_chain, random_chain, two_k3_bridge
 from oracles import oracle_submultiplicativity_slack, oracle_triangle_slack
 
 
@@ -63,6 +63,15 @@ def test_identity_compares_every_column(monkeypatch):
     check = verify.level_identity(tm)["fast_vs_reference"]
     assert not check["ok"]
     assert check["value"] == pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("eps,reference", [(1.0, False), (1e-14, True)])
+def test_identity_reports_used_reference(eps, reference):
+    # On a fallback chain the fast Q is the reduction's, so the comparison
+    # reads exactly 0 and the report says why.
+    report = verify.level_identity(two_k3_bridge(eps))
+    assert report["used_reference"] is reference
+    assert (report["fast_vs_reference"]["value"] == 0.0) == reference
 
 
 BETAS = (0.5, 0.75, 1.0)
