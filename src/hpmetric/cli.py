@@ -32,13 +32,13 @@ def _configure_threads(threads) -> None:
 def _load_chain(args):
     from .graphs import largest_scc, load_edge_list, row_normalize
 
-    path = args.input
-    if path == "-":
-        data = sys.stdin.buffer.read()
+    if getattr(args, "model", None):
+        return row_normalize(_model(args)[0])
+    if args.input == "-":
+        g = load_edge_list(sys.stdin.buffer, format=args.format)
     else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    g = load_edge_list(data, format=args.format)
+        with open(args.input, "rb") as fh:
+            g = load_edge_list(fh, format=args.format)
     if getattr(args, "scc", False):
         g, _ = largest_scc(g)
     return row_normalize(g)
@@ -197,11 +197,9 @@ def cmd_fiedler(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
-    from .files import write_column_csv, write_edge_csv, write_meta
-
-    started = time.time()
-    truth = coords = None
+def _model(args):
+    """The ``--model`` graph, with generate's parameters, truth and coordinates."""
+    params = truth = coords = None
     if args.model == "glued":
         from .generators import GluedCyclesSpec, gen_glued_cycles
 
@@ -210,10 +208,11 @@ def cmd_generate(args) -> int:
     elif args.model == "er-cycle":
         from .generators import gen_er_cycle
 
+        self_loops = getattr(args, "self_loops", False)
         g = gen_er_cycle(args.n_er, args.n_cycle, args.p, args.w, args.seed,
-                         self_loops=args.self_loops)
+                         self_loops=self_loops)
         params = {"model": "er-cycle", "n_er": args.n_er, "n_cycle": args.n_cycle,
-                  "p": args.p, "w": args.w, "self_loops": args.self_loops}
+                  "p": args.p, "w": args.w, "self_loops": self_loops}
     elif args.model == "planted":
         from .errors import InputError
         from .generators import PlantedPartitionSpec, gen_planted_partition
@@ -229,14 +228,31 @@ def cmd_generate(args) -> int:
             PlantedPartitionSpec(args.n, args.k, p_in, p_out), args.seed)
         params = {"model": "planted", "n": args.n, "k": args.k,
                   "p_in": p_in, "p_out": p_out}
-    else:
+    elif args.model == "geometric":
         from .generators import GeometricGraphSpec, gen_geometric
 
         g, coords = gen_geometric(
             GeometricGraphSpec(args.domain, args.n, args.gamma), args.seed)
         params = {"model": "geometric", "domain": args.domain, "n": args.n,
                   "gamma": args.gamma}
+    elif args.model == "complete":
+        import numpy as np
 
+        from .graphs import make_digraph
+
+        g = make_digraph(1.0 - np.eye(args.n))
+    else:
+        from .generators import gen_random_strongly_connected
+
+        g = gen_random_strongly_connected(args.n, seed=args.seed)
+    return g, params, truth, coords
+
+
+def cmd_generate(args) -> int:
+    from .files import write_column_csv, write_edge_csv, write_meta
+
+    started = time.time()
+    g, params, truth, coords = _model(args)
     write_edge_csv(args.out, g)
     write_meta(args.out, "generate", params, seed=args.seed, started=started)
     if truth is not None and args.truth:
@@ -333,30 +349,7 @@ def cmd_verify(args) -> int:
         betas = tuple(float(b) for b in args.beta.split(","))
     except ValueError:
         raise InputError(f"--beta must be comma-separated numbers, got {args.beta!r}") from None
-    if args.model:
-        from .graphs import row_normalize
-
-        if args.model == "glued":
-            from .generators import GluedCyclesSpec, gen_glued_cycles
-
-            tm = row_normalize(gen_glued_cycles(GluedCyclesSpec(args.nb, args.nc, args.C)))
-        elif args.model == "er-cycle":
-            from .generators import gen_er_cycle
-
-            tm = row_normalize(gen_er_cycle(args.n_er, args.n_cycle, args.p, args.w,
-                                            args.seed))
-        elif args.model == "complete":
-            import numpy as np
-
-            from .graphs import make_digraph
-
-            tm = row_normalize(make_digraph(1.0 - np.eye(args.n)))
-        else:
-            from .generators import gen_random_strongly_connected
-
-            tm = row_normalize(gen_random_strongly_connected(args.n, seed=args.seed))
-    else:
-        tm = _load_chain(args)
+    tm = _load_chain(args)
     levels = [l.strip() for l in args.levels.split(",") if l.strip()]
     report = run_levels(tm, levels, walks=args.walks, seed=args.seed, betas=betas,
                         tol_deg=args.tol_deg)

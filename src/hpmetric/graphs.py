@@ -8,6 +8,10 @@ is refused above ``DENSE_LIMIT`` nodes.
 from __future__ import annotations
 
 import functools
+import io
+import math
+import re
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,57 +173,68 @@ def row_normalize(g: WeightedDigraph) -> TransitionMatrix:
     return TransitionMatrix(n=g.n, P=w, labels=list(g.labels))
 
 
-def _parse_csv_edges(text: str):
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _numbered_lines(source):
+    """(number, text) of each line of bytes, str, or a binary or text stream,
+    ended by \\n, \\r\\n or \\r as a text file reads them.  Bytes are
+    decoded as UTF-8 one line at a time: the whole text is never held."""
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    elif isinstance(source, str):
+        source = (m[0] for m in re.finditer(r".*\n|.+", source))
+    lineno = 0
+    for chunk in source:
+        if isinstance(chunk, bytes):
+            try:
+                chunk = chunk.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8: {exc.reason}", lineno + 1) from None
+        for line in chunk.removesuffix("\n").removesuffix("\r").split("\r"):
+            lineno += 1
+            yield lineno, line
+
+
+def _weight(w: float, lineno: int, token: str | None = None) -> float:
+    """``w`` if it is a valid edge weight; CSV errors quote its ``token``."""
+    if not math.isfinite(w):
+        quoted = "" if token is None else f" {token.strip()!r}"
+        raise ParseError(f"non-finite weight{quoted}", lineno)
+    if w < 0:
+        raise InputError(f"line {lineno}: negative weight {w}")
+    return w
+
+
+def _csv_edges(lines, rows: array, cols: array, vals: array) -> list:
+    """Append each CSV edge to rows, cols and vals; return the node labels."""
+    index = {}
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) == 2:
-            src, dst, weight = parts[0], parts[1], "1.0"
-        elif len(parts) == 3:
-            src, dst, weight = parts
-        else:
+        parts = line.split(",")
+        if not 2 <= len(parts) <= 3:
             raise ParseError(f"expected 'src,dst[,weight]', got {raw!r}", lineno)
+        src, dst, weight = (*parts, "1.0")[:3]
+        src, dst = src.strip(), dst.strip()
         if not src or not dst:
             raise ParseError("empty node label", lineno)
         try:
             w = float(weight)
         except ValueError:
-            raise ParseError(f"bad weight {weight!r}", lineno) from None
-        if not np.isfinite(w):
-            raise ParseError(f"non-finite weight {weight!r}", lineno)
-        if w < 0:
-            raise InputError(f"line {lineno}: negative weight {w}")
-        edges.append((src, dst, w))
-    return edges
-
-
-def _load_csv(text: str) -> WeightedDigraph:
-    edges = _parse_csv_edges(text)
-    labels = []
-    index = {}
-    for src, dst, _ in edges:
-        for lab in (src, dst):
-            if lab not in index:
-                index[lab] = len(labels)
-                labels.append(lab)
-    n = len(labels)
-    if n == 0:
+            raise ParseError(f"bad weight {weight.strip()!r}", lineno) from None
+        vals.append(_weight(w, lineno, weight))
+        rows.append(index.setdefault(src, len(index)))
+        cols.append(index.setdefault(dst, len(index)))
+    if not index:
         raise InputError("edge list contains no edges")
-    rows = [index[s] for s, _, _ in edges]
-    cols = [index[d] for _, d, _ in edges]
-    vals = [w for _, _, w in edges]
-    weights = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return WeightedDigraph(n=n, labels=labels, weights=weights)
+    return list(index)
 
 
-def _load_matrix_market(text: str) -> WeightedDigraph:
-    lines = text.splitlines()
-    if not lines:
+def _matrix_market_edges(lines, rows: array, cols: array, vals: array) -> list:
+    """Append each Matrix Market entry to rows, cols and vals; return labels."""
+    lineno, header = next(lines, (1, None))
+    if header is None:
         raise ParseError("empty file", 1)
-    header = lines[0].lower().split()
+    header = header.lower().split()
     if len(header) < 5 or header[0] not in ("%%matrixmarket", "%matrixmarket"):
         raise ParseError("missing MatrixMarket header", 1)
     _, obj, fmt, kind, symmetry = header[:5]
@@ -229,72 +244,56 @@ def _load_matrix_market(text: str) -> WeightedDigraph:
         raise ParseError(f"unsupported field type {kind!r}", 1)
     if symmetry != "general":
         raise ParseError(f"unsupported symmetry {symmetry!r}", 1)
-    pattern = kind == "pattern"
-
-    dims = None
-    entries = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("%"):
+    want, n = (2 if kind == "pattern" else 3), None
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0][0] == "%":
             continue
-        parts = line.split()
-        if dims is None:
+        if n is None:
             if len(parts) != 3:
                 raise ParseError("expected 'rows cols nnz' size line", lineno)
             try:
-                r, c, nnz = (int(p) for p in parts)
+                n, c, nnz = (int(p) for p in parts)
             except ValueError:
                 raise ParseError("bad size line", lineno) from None
-            if r != c:
-                raise ParseError(f"matrix must be square, got {r}x{c}", lineno)
-            dims = (r, nnz)
+            if n != c:
+                raise ParseError(f"matrix must be square, got {n}x{c}", lineno)
+            size_line = lineno
             continue
-        want = 2 if pattern else 3
         if len(parts) != want:
             raise ParseError(f"expected {want} fields", lineno)
         try:
-            i = int(parts[0])
-            j = int(parts[1])
-            w = 1.0 if pattern else float(parts[2])
+            i, j = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if want == 3 else 1.0
         except ValueError:
             raise ParseError("bad entry", lineno) from None
-        if not (1 <= i <= dims[0] and 1 <= j <= dims[0]):
+        if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"index ({i},{j}) out of range", lineno)
-        if not np.isfinite(w):
-            raise ParseError("non-finite weight", lineno)
-        if w < 0:
-            raise InputError(f"line {lineno}: negative weight {w}")
-        entries.append((i - 1, j - 1, w))
-    if dims is None:
-        raise ParseError("missing size line", len(lines))
-    n = dims[0]
-    rows = [e[0] for e in entries]
-    cols = [e[1] for e in entries]
-    vals = [e[2] for e in entries]
-    weights = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    labels = [str(i + 1) for i in range(n)]
-    return WeightedDigraph(n=n, labels=labels, weights=weights)
+        vals.append(_weight(w, lineno))
+        rows.append(i - 1)
+        cols.append(j - 1)
+    if n is None:
+        raise ParseError("missing size line", lineno)
+    if len(vals) != nnz:
+        raise ParseError(f"size line declares {nnz} entries, found {len(vals)}", size_line)
+    return [str(i + 1) for i in range(n)]
 
 
 def load_edge_list(source, format: str = "csv") -> WeightedDigraph:
-    """Parse a byte stream (or bytes/str) into a WeightedDigraph.
+    """Parse bytes, str, or a binary or text stream into a WeightedDigraph
+    in one pass over its lines (see ``_numbered_lines``).
 
     CSV: one `src,dst[,weight]` edge per line, weight defaulting to 1.0,
     '#' comments ignored, nodes ordered by first appearance.  Matrix Market:
     'coordinate real/integer/pattern general', 1-based indices, node labels
-    '1'..'n'.  Duplicate (i, j) entries have their weights summed in both
-    formats.
+    '1'..'n', as many entries as the size line declares.  Duplicate (i, j)
+    entries have their weights summed in both formats.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    else:
-        text = data
-    if format == "csv":
-        return _load_csv(text)
-    if format in ("matrix-market", "mm", "mtx"):
-        return _load_matrix_market(text)
-    raise InputError(f"unknown edge list format {format!r}")
+    edges = {"csv": _csv_edges, "matrix-market": _matrix_market_edges}.get(format)
+    if edges is None:
+        raise InputError(f"unknown edge list format {format!r}")
+    rows, cols, vals = array("i"), array("i"), array("d")
+    labels = edges(_numbered_lines(source), rows, cols, vals)
+    n = len(labels)
+    weights = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return WeightedDigraph(n=n, labels=labels, weights=weights)

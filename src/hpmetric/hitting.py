@@ -12,6 +12,7 @@ oracle.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,7 +175,8 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     times are m_ij = (Z_jj - Z_ij) / phi_j (Kemeny & Snell, *Finite Markov
     Chains*, 1960; Aldous & Fill, *Reversible Markov Chains and Random Walks
     on Graphs*, ch. 2).  Z is overwritten in place by m, then by Q.  A
-    singular or ill-conditioned (``COND_LIMIT``) inverse hands the chain to
+    singular or ill-conditioned inverse (``COND_LIMIT``, or scipy's
+    ``LinAlgWarning``, whose rcond < eps lies far past it) hands the chain to
     ``hitting_by_reduction``, flagged ``used_reference``, at about 8 n x n of
     scratch against 2 n x n here.  Solved once per chain: later calls on the
     same ``tm`` return the same result, whose ``Q`` is read-only.
@@ -185,8 +187,10 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     G.flat[:: n + 1] += 1.0
     g_norm = la.norm(G, 1)
     try:
-        Z = la.inv(G)
-    except la.LinAlgError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", la.LinAlgWarning)
+            Z = la.inv(G)
+    except (la.LinAlgError, la.LinAlgWarning):
         Z = None
     del G
 

@@ -11,7 +11,10 @@ rows through C-level formatting and parsing, and the submultiplicativity and
 triangle checks loop over pivots with one n x n temporary each rather than
 sweeping blocks of rows once for every beta, and the stationary solve builds
 P^T - I from an identity matrix and lets scipy copy it rather than building
-and factoring one buffer in place.
+and factoring one buffer in place, and the edge-list loader decodes the
+whole source, splits it into a list of lines and builds a list of edge
+tuples before labelling the nodes rather than streaming lines into typed
+arrays.
 """
 
 import itertools
@@ -21,8 +24,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
-from hpmetric.errors import ParseError, StructureError
+from hpmetric.errors import InputError, ParseError, StructureError
+from hpmetric.graphs import WeightedDigraph
 from hpmetric.quotient import OrderedClass, SegmentLabeling
 
 
@@ -348,3 +353,122 @@ def oracle_triangle_slack(D: np.ndarray) -> float:
         viol = D - (D[:, k][:, None] + D[k, :][None, :])
         worst_tri = max(worst_tri, float(viol.max()))
     return worst_tri
+
+
+def _oracle_csv_edges(text: str):
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) == 2:
+            src, dst, weight = parts[0], parts[1], "1.0"
+        elif len(parts) == 3:
+            src, dst, weight = parts
+        else:
+            raise ParseError(f"expected 'src,dst[,weight]', got {raw!r}", lineno)
+        if not src or not dst:
+            raise ParseError("empty node label", lineno)
+        try:
+            w = float(weight)
+        except ValueError:
+            raise ParseError(f"bad weight {weight!r}", lineno) from None
+        if not np.isfinite(w):
+            raise ParseError(f"non-finite weight {weight!r}", lineno)
+        if w < 0:
+            raise InputError(f"line {lineno}: negative weight {w}")
+        edges.append((src, dst, w))
+    return edges
+
+
+def _oracle_load_csv(text: str) -> WeightedDigraph:
+    edges = _oracle_csv_edges(text)
+    labels = []
+    index = {}
+    for src, dst, _ in edges:
+        for lab in (src, dst):
+            if lab not in index:
+                index[lab] = len(labels)
+                labels.append(lab)
+    n = len(labels)
+    if n == 0:
+        raise InputError("edge list contains no edges")
+    rows = [index[s] for s, _, _ in edges]
+    cols = [index[d] for _, d, _ in edges]
+    vals = [w for _, _, w in edges]
+    weights = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return WeightedDigraph(n=n, labels=labels, weights=weights)
+
+
+def _oracle_load_matrix_market(text: str) -> WeightedDigraph:
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty file", 1)
+    header = lines[0].lower().split()
+    if len(header) < 5 or header[0] not in ("%%matrixmarket", "%matrixmarket"):
+        raise ParseError("missing MatrixMarket header", 1)
+    _, obj, fmt, kind, symmetry = header[:5]
+    if obj != "matrix" or fmt != "coordinate":
+        raise ParseError("only 'matrix coordinate' files are supported", 1)
+    if kind not in ("real", "integer", "pattern"):
+        raise ParseError(f"unsupported field type {kind!r}", 1)
+    if symmetry != "general":
+        raise ParseError(f"unsupported symmetry {symmetry!r}", 1)
+    pattern = kind == "pattern"
+
+    dims = None
+    entries = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        parts = line.split()
+        if dims is None:
+            if len(parts) != 3:
+                raise ParseError("expected 'rows cols nnz' size line", lineno)
+            try:
+                r, c, nnz = (int(p) for p in parts)
+            except ValueError:
+                raise ParseError("bad size line", lineno) from None
+            if r != c:
+                raise ParseError(f"matrix must be square, got {r}x{c}", lineno)
+            dims = (r, nnz)
+            continue
+        want = 2 if pattern else 3
+        if len(parts) != want:
+            raise ParseError(f"expected {want} fields", lineno)
+        try:
+            i = int(parts[0])
+            j = int(parts[1])
+            w = 1.0 if pattern else float(parts[2])
+        except ValueError:
+            raise ParseError("bad entry", lineno) from None
+        if not (1 <= i <= dims[0] and 1 <= j <= dims[0]):
+            raise ParseError(f"index ({i},{j}) out of range", lineno)
+        if not np.isfinite(w):
+            raise ParseError("non-finite weight", lineno)
+        if w < 0:
+            raise InputError(f"line {lineno}: negative weight {w}")
+        entries.append((i - 1, j - 1, w))
+    if dims is None:
+        raise ParseError("missing size line", len(lines))
+    n = dims[0]
+    rows = [e[0] for e in entries]
+    cols = [e[1] for e in entries]
+    vals = [e[2] for e in entries]
+    weights = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    labels = [str(i + 1) for i in range(n)]
+    return WeightedDigraph(n=n, labels=labels, weights=weights)
+
+
+def oracle_load_edge_list(source, format: str = "csv") -> WeightedDigraph:
+    """The edge-list loader ``graphs.load_edge_list`` streams: the whole
+    source is read and decoded, split by ``str.splitlines`` and turned into
+    edge tuples before any node is labelled.  It does not check a Matrix
+    Market file's entry count."""
+    data = source.read() if hasattr(source, "read") else source
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    if format == "csv":
+        return _oracle_load_csv(text)
+    return _oracle_load_matrix_market(text)

@@ -1,5 +1,7 @@
 import argparse
+import io
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -228,6 +230,13 @@ class TestSubcommands:
         assert values["c1_1"] == pytest.approx(1 / 14)
         assert (tmp_path / "phi.meta.json").exists()
 
+    def test_stationary_from_stdin(self, glued_csv, tmp_path, monkeypatch):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["stationary", "--in", str(glued_csv), "--out", str(a)]) == 0
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(glued_csv.read_bytes())))
+        assert main(["stationary", "--in", "-", "--out", str(b)]) == 0
+        assert a.read_text() == b.read_text()
+
     def test_hitprob_matrix_and_meta(self, glued_csv, tmp_path):
         out = tmp_path / "q.csv"
         assert main(["hitprob", "--in", str(glued_csv), "--out", str(out)]) == 0
@@ -348,6 +357,11 @@ class TestVerifyAndExitCodes:
         assert code == 0
         assert rep["ok"] is True
 
+    @pytest.mark.parametrize("model", ["er-cycle", "random"])
+    def test_verify_models(self, model, capsys):
+        assert main(["verify", "--model", model, "--levels", "identity"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
     def test_verify_oracle_level(self, capsys):
         code = main(["verify", "--model", "glued", "--levels", "oracle",
                      "--walks", "2000", "--seed", "7"])
@@ -426,6 +440,15 @@ class TestVerifyAndExitCodes:
         bad.write_text("a;b;1\n")
         assert main(["stationary", "--in", str(bad),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b,1\nb,\xff,1\n")
+        assert main(["stationary", "--in", str(bad),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: line 2: not UTF-8: invalid start byte"]
 
     def test_scc_flag_recovers(self, tmp_path):
         path = tmp_path / "g.csv"

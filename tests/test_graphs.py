@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpmetric.errors import InputError, IrreducibilityError, ParseError
+from hpmetric.files import write_edge_csv
 from hpmetric.generators import gen_random_strongly_connected
 from hpmetric.graphs import (largest_scc, load_edge_list, make_digraph,
                              row_normalize, strongly_connected_components)
+
+from oracles import oracle_load_edge_list
 
 
 class TestLoadEdgeList:
@@ -62,6 +65,136 @@ class TestLoadEdgeList:
         idx = {lab: i for i, lab in enumerate(g.labels)}
         for (a, b), w in totals.items():
             assert g.weights[idx[a], idx[b]] == pytest.approx(w)
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("%%MatrixMarket matrix array real general\n2 2\n", 1, "only 'matrix coordinate'"),
+        ("%%MatrixMarket matrix coordinate complex general\n", 1, "field type 'complex'"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n", 1, "symmetry 'symmetric'"),
+        ("%%MatrixMarket matrix coordinate real general\n2 3 0\n", 2, "square, got 2x3"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n% c\n1 3 1.0\n", 4,
+         r"index \(1,3\) out of range"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n", 3,
+         r"index \(0,1\) out of range"),
+        ("%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 1\n2 3 1\n3 1 1\n1 3 1\n",
+         2, "declares 2 entries, found 4"),
+        ("%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1\n2 3 1\n", 2,
+         "declares 3 entries, found 2"),
+    ], ids=["not-coordinate", "field", "symmetry", "non-square", "column-out-of-range",
+            "row-zero", "more-entries-than-declared", "truncated"])
+    def test_matrix_market_rejects(self, text, line, message):
+        with pytest.raises(ParseError, match=message) as info:
+            load_edge_list(text, format="matrix-market")
+        assert info.value.line_number == line
+
+    def test_unknown_format(self):
+        with pytest.raises(InputError, match="unknown edge list format 'mtx'"):
+            load_edge_list("a,b\n", format="mtx")
+
+    def test_non_utf8_reports_its_line(self):
+        with pytest.raises(ParseError, match="line 2: not UTF-8") as info:
+            load_edge_list(b"a,b\r\n\xffb,a\n")
+        assert info.value.line_number == 2
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_line_endings_count_lines(self, ending):
+        text = ending.join(["a,b", "# c", "", "b,a", "a;b"])
+        for source in (text, text.encode(), io.BytesIO(text.encode()),
+                       io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8", newline="")):
+            with pytest.raises(ParseError, match="line 5: expected 'src,dst\\[,weight\\]', "
+                                                 "got 'a;b'"):
+                load_edge_list(source)
+
+    def test_other_separators_stay_inside_a_line(self):
+        # str.splitlines would end a line at each of these; a text file does not.
+        g = load_edge_list("a\x0bz,b\u2028c,1\nb\u2028c,a\x0bz,1\n")
+        assert g.labels == ["a\x0bz", "b\u2028c"]
+
+    def test_open_binary_file_peak_memory(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        write_edge_csv(path, gen_random_strongly_connected(2000, p=0.01, seed=201))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh:
+                g = load_edge_list(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.weights.nnz >= 40_000
+        assert peak <= 3 * size
+
+
+LABELS = ["a", "b", "c", " d ", "né", "x y"]
+WEIGHTS = ["1", "2.5", " 0.25 ", "1e-3", "0", "3.0000000000000004", "7"]
+BAD_CSV_LINES = ["a", "a,b,1,2", ",b", "a, ,1", "a,b,x", "a,b,inf", "a,b, nan ",
+                 "a,b,-1", "a;b;1"]
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def as_source(text, kind):
+    data = text.encode()
+    return {"str": text, "bytes": data, "binary": io.BytesIO(data),
+            "text": io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")}[kind]
+
+
+def outcome(load, text, kind, format):
+    try:
+        g = load(as_source(text, kind), format=format)
+    except (InputError, ParseError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    w = g.weights
+    return (g.n, g.labels, w.shape, w.indptr.dtype, w.indptr.tolist(), w.indices.dtype,
+            w.indices.tolist(), w.data.dtype, w.data.view(np.int64).tolist())
+
+
+csv_lines = st.one_of(
+    st.just(""), st.just("   "), st.just("# comment, with, commas"),
+    st.builds(lambda a, b: f"{a},{b}", st.sampled_from(LABELS), st.sampled_from(LABELS)),
+    st.builds(lambda a, b, w: f"{a},{b},{w}", st.sampled_from(LABELS),
+              st.sampled_from(LABELS), st.sampled_from(WEIGHTS)))
+
+
+class TestAgainstParentLoader:
+    """The streaming loader against the parse-everything-first oracle: same
+    labels and CSR bits, or the same exception, message and line number."""
+
+    @given(lines=st.lists(csv_lines, max_size=25), bad=st.sampled_from([None, *BAD_CSV_LINES]),
+           at=st.integers(0, 25), ending=ENDINGS, last=st.booleans(),
+           kind=st.sampled_from(["str", "bytes", "binary", "text"]))
+    @settings(max_examples=300, deadline=None)
+    def test_csv(self, lines, bad, at, ending, last, kind):
+        if bad is not None:
+            lines.insert(min(at, len(lines)), bad)
+        text = ending.join(lines) + (ending if last else "")
+        assert (outcome(load_edge_list, text, kind, "csv")
+                == outcome(oracle_load_edge_list, text, kind, "csv"))
+
+    @given(kind_field=st.sampled_from(["real", "integer", "pattern"]),
+           n=st.integers(1, 4),
+           entries=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4),
+                                      st.sampled_from(["1", "2.5", "0", "4e-1"])), max_size=12),
+           fillers=st.lists(st.sampled_from(["", "  ", "% note"]), max_size=4),
+           bad=st.sampled_from([None, "1", "1 2 3 4", "x 1 1", "1 1 y", "1 1 inf",
+                                "1 1 -2", "9 1 1", "NON-SQUARE", "BAD-SIZE", "SHORT-SIZE",
+                                "NO-SIZE"]),
+           at=st.integers(0, 12), ending=ENDINGS,
+           kind=st.sampled_from(["str", "bytes", "binary", "text"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_market(self, kind_field, n, entries, fillers, bad, at, ending, kind):
+        body = [f"{i} {j}" if kind_field == "pattern" else f"{i} {j} {w}"
+                for i, j, w in entries if i <= n and j <= n]
+        count = len(body)
+        if bad is not None and not bad.isupper():
+            body.insert(min(at, len(body)), bad)
+            count += 1
+        size = {"NON-SQUARE": f"{n} {n + 1} {count}", "BAD-SIZE": f"{n} {n} x",
+                "SHORT-SIZE": f"{n} {n}"}.get(bad, f"{n} {n} {count}")
+        lines = [f"%%MatrixMarket matrix coordinate {kind_field} general", *fillers]
+        if bad != "NO-SIZE":
+            lines += [size, *fillers, *body]
+        text = ending.join(lines) + ending
+        assert (outcome(load_edge_list, text, kind, "matrix-market")
+                == outcome(oracle_load_edge_list, text, kind, "matrix-market"))
 
 
 class TestLargestScc:

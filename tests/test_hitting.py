@@ -141,6 +141,14 @@ class TestFast:
         assert hitting_fast(two_random_blocks(13)).used_reference
         assert calls == [(8, 8)]
 
+    def test_ill_conditioning_warning_takes_reduction(self):
+        # scipy warns on this inverse (rcond below eps); under the suite's
+        # error::RuntimeWarning the warning used to escape as an exception.
+        tm = two_random_blocks(0, m=100)
+        result = hitting_fast(tm)
+        assert result.used_reference
+        assert np.array_equal(result.Q, hitting_by_reduction(tm))
+
     def test_singular_inverse_takes_reduction(self, monkeypatch):
         tm = random_chain(10, seed=4)
 
@@ -161,15 +169,15 @@ class TestFast:
         assert (np.abs(result.Q - exact)[off] / exact[off]).max() <= rtol
 
 
-def two_random_blocks(seed, eps=1e-13):
-    """Two random 4-state blocks, zero diagonal, joined by an edge of weight
-    eps in each direction between states 0 and 4."""
+def two_random_blocks(seed, eps=1e-13, m=4):
+    """Two random m-state blocks, zero diagonal, joined by an edge of weight
+    eps in each direction between states 0 and m."""
     rng = np.random.default_rng(seed)
-    W = np.zeros((8, 8))
-    W[:4, :4] = rng.random((4, 4))
-    W[4:, 4:] = rng.random((4, 4))
+    W = np.zeros((2 * m, 2 * m))
+    W[:m, :m] = rng.random((m, m))
+    W[m:, m:] = rng.random((m, m))
     np.fill_diagonal(W, 0.0)
-    W[0, 4] = W[4, 0] = eps
+    W[0, m] = W[m, 0] = eps
     return row_normalize(make_digraph(W))
 
 

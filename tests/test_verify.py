@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hpmetric import quotient, verify
+from hpmetric import hitting, quotient, verify
 from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles
 from hpmetric.graphs import row_normalize
 from hpmetric.hitting import HittingProbabilities, hitting_fast
@@ -72,6 +72,22 @@ def test_identity_reports_used_reference(eps, reference):
     report = verify.level_identity(two_k3_bridge(eps))
     assert report["used_reference"] is reference
     assert (report["fast_vs_reference"]["value"] == 0.0) == reference
+
+
+def test_identity_reduces_a_fallback_chain_once(monkeypatch):
+    calls = []
+    real = hitting.hitting_by_reduction
+
+    def counting(tm):
+        calls.append(tm.n)
+        return real(tm)
+
+    monkeypatch.setattr(hitting, "hitting_by_reduction", counting)
+    monkeypatch.setattr(verify, "hitting_by_reduction", counting)
+    report = verify.level_identity(two_k3_bridge(1e-14))
+    assert report["used_reference"] is True
+    assert report["fast_vs_reference"]["value"] == 0.0
+    assert calls == [6]
 
 
 BETAS = (0.5, 0.75, 1.0)
