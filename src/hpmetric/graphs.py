@@ -256,6 +256,9 @@ def _matrix_market_edges(lines, rows: array, cols: array, vals: array) -> list:
                 n, c, nnz = (int(p) for p in parts)
             except ValueError:
                 raise ParseError("bad size line", lineno) from None
+            if n < 1 or nnz < 0:
+                raise ParseError(f"size line needs rows >= 1 and nnz >= 0, got {n} and {nnz}",
+                                 lineno)
             if n != c:
                 raise ParseError(f"matrix must be square, got {n}x{c}", lineno)
             size_line = lineno

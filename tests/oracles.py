@@ -14,7 +14,9 @@ P^T - I from an identity matrix and lets scipy copy it rather than building
 and factoring one buffer in place, and the edge-list loader decodes the
 whole source, splits it into a list of lines and builds a list of edge
 tuples before labelling the nodes rather than streaming lines into typed
-arrays.
+arrays, and the edge-list writer formats each edge's line with one Python
+``%`` from three whole-graph lists rather than formatting chunks of edges
+in numpy.
 """
 
 import itertools
@@ -293,6 +295,17 @@ def oracle_write_dense_csv(path, M, labels) -> None:
     for row in np.asarray(M):
         lines.append(",".join("{:.17g}".format(float(x)) for x in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def oracle_write_edge_csv(path, g: WeightedDigraph) -> None:
+    """``src,dst,weight`` per stored edge of ``g.weights.tocoo()``, the
+    weight as ``%.17g``; an edgeless graph is one empty line."""
+    coo = g.weights.tocoo()
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, j, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+            fh.write("%s,%s,%.17g\n" % (g.labels[i], g.labels[j], w))
+        if coo.nnz == 0:
+            fh.write("\n")
 
 
 def oracle_write_column_csv(path, labels, columns) -> None:

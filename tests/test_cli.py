@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import sys
 import tracemalloc
 import warnings
@@ -13,12 +14,13 @@ from hpmetric.cli import build_parser, main
 from hpmetric.errors import ParseError
 from hpmetric.files import read_dense_csv, write_column_csv, write_dense_csv, write_edge_csv
 from hpmetric.generators import gen_random_strongly_connected
-from hpmetric.graphs import make_digraph, row_normalize
+from hpmetric.graphs import load_edge_list, make_digraph, row_normalize
 from hpmetric.hitting import hitting_fast
 from hpmetric.metric import hp_distance, hp_similarity
 from hpmetric.stationary import stationary_distribution
 
-from oracles import oracle_read_dense_csv, oracle_write_column_csv, oracle_write_dense_csv
+from oracles import (oracle_read_dense_csv, oracle_write_column_csv, oracle_write_dense_csv,
+                     oracle_write_edge_csv)
 
 
 @pytest.fixture
@@ -56,6 +58,58 @@ def specials_and_extremes():
                     np.nextafter(tiny, 0.0), tiny, -tiny, huge, -huge,
                     1.0 + 2.0**-17, 0.5, 1e-4, 1e-5, 1e16, 1e17, 2.0**60, 100.0])
     return np.stack([row, row[::-1]])
+
+
+def scaled_fraction(v: float) -> tuple:
+    """(r, den): r / den is the fractional part of |v| * 10**(16 - e) for the
+    decade e of v, in exact integer arithmetic."""
+    a, b = abs(v).as_integer_ratio()
+    e = math.floor(math.log10(abs(v)))
+    while True:
+        s = 16 - e
+        num, den = (a * 10**s, b) if s >= 0 else (a, b * 10**-s)
+        q, r = divmod(num, den)
+        if q < 10**16:
+            e -= 1
+        elif q >= 10**17:
+            e += 1
+        else:
+            return r, den
+
+
+def near_ties(count: int, draw) -> tuple:
+    """``count`` values from ``draw(k)`` (k candidates) whose scaled fraction
+    lies within 0.0217 of one half, and which of them are exact ties."""
+    values, ties = [], []
+    while len(values) < count:
+        for v in draw(4096).tolist():
+            r, den = scaled_fraction(float(v))
+            if 10_000 * abs(2 * r - den) <= 434 * den and len(values) < count:
+                values.append(v)
+                ties.append(2 * r == den)
+    return values, np.array(ties)
+
+
+def any_normal_double(rng):
+    def draw(k):
+        bits = rng.integers(0, 2, size=k, dtype=np.uint64) << np.uint64(63)
+        bits |= rng.integers(1, 2047, size=k, dtype=np.uint64) << np.uint64(52)
+        bits |= rng.integers(0, 2**52, size=k, dtype=np.uint64)
+        return bits.view(np.float64)
+    return draw
+
+
+def any_normal_float32(rng):
+    def draw(k):
+        bits = rng.integers(0, 2, size=k, dtype=np.uint32) << np.uint32(31)
+        bits |= rng.integers(1, 255, size=k, dtype=np.uint32) << np.uint32(23)
+        bits |= rng.integers(0, 2**23, size=k, dtype=np.uint32)
+        return bits.view(np.float32)
+    return draw
+
+
+def large_int64(rng):
+    return lambda k: rng.integers(10**18, 2**63, size=k, dtype=np.int64)
 
 
 class TestDenseRoundTrip:
@@ -178,6 +232,41 @@ class TestDenseWriterFallback:
         assert new.read_text().splitlines()[1:] == [",".join("%.3g" % v for v in r)
                                                     for r in M.tolist()]
 
+    @pytest.mark.parametrize("draw, dtype, shape", [
+        (any_normal_double, np.float64, (22, 480)),
+        (any_normal_double, np.float64, (1, 1)),
+        (any_normal_double, np.float64, (13, 7)),
+        (any_normal_float32, np.float32, (5, 9)),
+        (large_int64, np.int64, (4, 11)),
+    ], ids=["22x480", "1x1", "13x7", "float32", "int64"])
+    def test_values_near_a_tie_match_oracle(self, tmp_path, draw, dtype, shape):
+        """Values within 0.0217 of a rounding tie, which a long-double
+        product could not place, take the fast path unless they are exact
+        ties or lie outside its decades, and keep the bytes of ``%.17g``."""
+        values, ties = near_ties(math.prod(shape), draw(np.random.default_rng(21)))
+        M = np.array(values, dtype=dtype).reshape(shape)
+        labels = [f"n{i}" for i in range(shape[1])]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_dense_csv(new, M, labels)
+        oracle_write_dense_csv(old, M, labels)
+        assert new.read_bytes() == old.read_bytes()
+        x = M.astype(np.float64).ravel()
+        in_range = (np.abs(x) >= files._FAST_MIN) & (np.abs(x) < files._FAST_MAX)
+        assert files._scaled_digits(x)[2][in_range & ~ties].all()
+
+    @pytest.fixture(scope="class")
+    def cli_session_matrices(self):
+        tm = row_normalize(gen_random_strongly_connected(1000, p=0.02, seed=1))
+        sim = hp_similarity(hitting_fast(tm), stationary_distribution(tm), 0.5)
+        return {"D": hp_distance(sim).D, "A": sim.A}
+
+    @pytest.mark.parametrize("name", ["D", "A"])
+    def test_fallback_is_rare_on_cli_session_matrices(self, cli_session_matrices, name):
+        """Fewer than 1e-4 of the values go through ``FLOAT_FMT %`` (zeros
+        included); a formatter that fell back per value would fail here."""
+        fast = files._scaled_digits(cli_session_matrices[name].ravel())[2]
+        assert np.count_nonzero(~fast) < 1e-4 * fast.size
+
 
 class TestSmallWriters:
     def test_edge_csv_text(self, tmp_path):
@@ -189,6 +278,35 @@ class TestSmallWriters:
         path = tmp_path / "e.csv"
         write_edge_csv(path, make_digraph([[0.0]], labels=["a"]))
         assert path.read_bytes() == b"\n"
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 12])
+    @pytest.mark.parametrize("g", [
+        make_digraph([[0.0, 0.1, 5e-324], [2.0, 0.0, 1e300], [1 / 3, 7.0, 0.0]],
+                     labels=["α", 7, "東京"]),
+        make_digraph([[0.0, 1.0], [0.5, 0.0]], labels=[np.int64(3), "a\x00b"]),
+        load_edge_list(b"a,b,0.1\nb,a,1\na,b,0.2\nb,c,1e-310\nc,a\na,b,2.5\n"),
+        make_digraph(np.zeros((3, 3)), labels=["x", "y", "z"]),
+        gen_random_strongly_connected(300, seed=4),
+    ], ids=["non-ascii-and-int-labels", "nul-in-label", "summed-duplicates", "edgeless",
+            "random-300"])
+    def test_edge_csv_matches_oracle(self, tmp_path, monkeypatch, g, chunk):
+        monkeypatch.setattr(files, "_EDGES_PER_CHUNK", chunk)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_edge_csv(new, g)
+        oracle_write_edge_csv(old, g)
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_edge_writer_streams_chunks(self, tmp_path, monkeypatch):
+        g = gen_random_strongly_connected(2000, p=0.01, seed=201)
+        monkeypatch.setattr(files, "_EDGES_PER_CHUNK", 256)
+        path = tmp_path / "e.csv"
+        tracemalloc.start()
+        try:
+            write_edge_csv(path, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.2 * path.stat().st_size
 
     def test_column_csv_text(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -477,6 +595,18 @@ class TestVerifyAndExitCodes:
                      "--out", str(out)]) == 0
         vals = [float(l.split(",")[1]) for l in out.read_text().splitlines()[1:]]
         assert np.allclose(vals, 1 / 3)
+
+    @pytest.mark.parametrize("size_line, got", [("-1 -1 0", "-1 and 0"), ("0 0 0", "0 and 0")])
+    def test_matrix_market_bad_size_line_exit_2(self, tmp_path, capsys, size_line, got):
+        mm = tmp_path / "g.mtx"
+        mm.write_text(f"%%MatrixMarket matrix coordinate real general\n{size_line}\n")
+        out = tmp_path / "phi.csv"
+        assert main(["stationary", "--in", str(mm), "--format", "matrix-market",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            f"error: line 2: size line needs rows >= 1 and nnz >= 0, got {got}"]
 
 
 MODEL_FLAGS = {"--nb": 3, "--nc": 4, "--C": 2, "--n-er": 20, "--n-cycle": 8,

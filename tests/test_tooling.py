@@ -4,6 +4,7 @@ resolve, or a benchmark run fails on a missing attribute."""
 
 import ast
 import importlib
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
@@ -84,3 +85,46 @@ def test_worker_reads_hitting_field(field):
             if isinstance(node, ast.Attribute)}
     assert field in read
     assert field in {f.name for f in fields(HittingProbabilities)}
+
+
+def bound_reads() -> list:
+    """(traced name, key) for every ``bound["key"]`` that ``op_record`` in the
+    worker reads under ``name == "<module>.<name>"`` or
+    ``name.startswith(prefix)``; a prefix stands for every traced name it
+    starts."""
+    tree = ast.parse(WORKER.read_text(encoding="utf-8"))
+    op_record = next(node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == "op_record")
+    reads = []
+    for node in ast.walk(op_record):
+        if not isinstance(node, ast.If):
+            continue
+        test = node.test
+        if isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.Eq):
+            names = [test.comparators[0].value]
+        elif isinstance(test, ast.Call) and getattr(test.func, "attr", None) == "startswith":
+            names = [f"{mod}.{name}" for _, mod, name in TRACED
+                     if f"{mod}.{name}".startswith(test.args[0].value)]
+        else:
+            continue
+        keys = {sub.slice.value for stmt in node.body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                and sub.value.id == "bound"}
+        reads += [(name, key) for name in names for key in sorted(keys)]
+    return reads
+
+
+BOUND_READS = bound_reads()
+
+
+def test_bound_reads_found():
+    assert {("hitting.hitting_fast", "tm"), ("hitting.simulate_hit_before_return", "walks"),
+            ("hitting.simulate_visit_counts", "walks"), ("files.write_dense_csv", "path"),
+            ("files.write_meta", "path")} <= set(BOUND_READS)
+
+
+@pytest.mark.parametrize("traced, key", BOUND_READS, ids=[f"{t}-{k}" for t, k in BOUND_READS])
+def test_worker_binds_a_parameter(traced, key):
+    mod, name = traced.split(".")
+    fn = getattr(importlib.import_module(f"hpmetric.{mod}"), name)
+    assert key in inspect.signature(fn).parameters
