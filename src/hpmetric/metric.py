@@ -76,17 +76,29 @@ def hp_similarity(Q, phi: StationaryDistribution, beta: float) -> HpSimilarity:
     A = np.multiply.outer(p**beta, p ** (beta - 1.0))
     A *= Qm
     np.fill_diagonal(A, 1.0)
-    # One n x n buffer: first |A - A^T|, then (A + A^T) / 2.
-    S = np.subtract(A, A.T)
-    np.abs(S, out=S)
-    asym = float(S.max())
+    # In place, one tile and its mirror at a time, so the only scratch is
+    # one tile: first |A - A^T| there, then (A + A^T) / 2.
+    n, tile = A.shape[0], 256
+    buf = np.empty((min(n, tile), min(n, tile)))
+    asym = 0.0
+    for i0 in range(0, n, tile):
+        for j0 in range(i0, n, tile):
+            upper = A[i0:i0 + tile, j0:j0 + tile]
+            lower = A[j0:j0 + tile, i0:i0 + tile].T
+            d = buf[: upper.shape[0], : upper.shape[1]]
+            np.subtract(upper, lower, out=d)
+            np.abs(d, out=d)
+            asym = np.maximum(asym, d.max())
+            np.add(upper, lower, out=d)
+            d /= 2.0
+            upper[...] = d
+            lower[...] = d
+    asym = float(asym)
     if asym > SYMMETRY_CONSISTENCY_TOL:
         raise NumericalError(
             f"similarity asymmetry {asym:.3e} exceeds {SYMMETRY_CONSISTENCY_TOL:.0e}; "
             "Q and phi are inconsistent"
         )
-    A = np.add(A, A.T, out=S)
-    A /= 2.0
     if beta == 0.5 and A.max() > 1.0 + 1e-12:
         raise NumericalError(
             f"similarity at beta=1/2 exceeds 1 by {A.max() - 1.0:.3e}"

@@ -16,7 +16,9 @@ whole source, splits it into a list of lines and builds a list of edge
 tuples before labelling the nodes rather than streaming lines into typed
 arrays, and the edge-list writer formats each edge's line with one Python
 ``%`` from three whole-graph lists rather than formatting chunks of edges
-in numpy.
+in numpy, and the hp similarity and the chung Laplacian are whole-matrix
+expressions with their n x n temporaries rather than symmetrized tile by
+tile in place or built in two buffers.
 """
 
 import itertools
@@ -286,6 +288,23 @@ def oracle_quotient_bounds(dist, dist_prime, quotient, labelings: list,
         "max_isometry_error": max_isometry_err,
         "violations": violations,
     }
+
+
+def oracle_hp_similarity(Q: np.ndarray, phi: np.ndarray, beta: float):
+    """(A, asymmetry): A_ij = phi_i^beta phi_j^(beta - 1) Q_ij with a unit
+    diagonal, its max |A - A^T|, and then (A + A^T) / 2."""
+    A = np.multiply.outer(phi**beta, phi ** (beta - 1.0))
+    A *= Q
+    np.fill_diagonal(A, 1.0)
+    asym = float(np.abs(A - A.T).max())
+    return (A + A.T) / 2.0, asym
+
+
+def oracle_chung_laplacian(P: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """I - (T + T^T) / 2 with T = Phi^{1/2} P Phi^{-1/2}."""
+    s = np.sqrt(phi)
+    T = (s[:, None] * P) / s[None, :]
+    return np.eye(P.shape[0]) - (T + T.T) / 2.0
 
 
 def oracle_write_dense_csv(path, M, labels) -> None:

@@ -9,7 +9,8 @@ from hpmetric.metric import (HpDistance, HpSimilarity, degenerate_pairs, hp_dist
                              hp_similarity, verify_metric_axioms)
 from hpmetric.stationary import StationaryDistribution, stationary_distribution
 
-from conftest import directed_cycle, pipeline, random_chain
+from conftest import directed_cycle, named_chain, pipeline, random_chain
+from oracles import oracle_hp_similarity
 
 LN2 = np.log(2.0)
 
@@ -52,6 +53,29 @@ class TestSimilarity:
         sim = hp_similarity(Q, phi, 0.75)
         assert sim.asymmetry <= 1e-10
         assert np.array_equal(sim.A, sim.A.T)
+
+    @pytest.mark.parametrize("chain", ["random-20", "random-600", "glued-3-4-2"])
+    @pytest.mark.parametrize("beta", [0.5, 0.75, 1.0])
+    def test_tiled_symmetrization_matches_oracle(self, chain, beta, acceptance_suite):
+        # 600 nodes leave a partial tile at the edge of each tile row.
+        tm = named_chain(chain, acceptance_suite)
+        phi, Q, _ = pipeline(tm)
+        sim = hp_similarity(Q, phi, beta)
+        A, asym = oracle_hp_similarity(Q.Q, phi.phi, beta)
+        assert np.array_equal(sim.A, A)
+        assert sim.asymmetry == asym
+
+    def test_similarity_needs_no_second_matrix(self):
+        n = 600
+        tm = random_chain(n, seed=2)
+        phi, Q, _ = pipeline(tm)
+        tracemalloc.start()
+        try:
+            hp_similarity(Q, phi, 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n
 
     def test_beta_below_half_rejected(self):
         tm = directed_cycle(3)

@@ -1,10 +1,15 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from hpmetric import hitting, spectral
 from hpmetric.errors import InputError
-from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles
+from hpmetric.generators import (GluedCyclesSpec, gen_glued_cycles,
+                                 gen_random_strongly_connected)
 from hpmetric.graphs import make_digraph, row_normalize
 from hpmetric.hitting import hitting_fast
 from hpmetric.metric import hp_similarity
@@ -13,6 +18,7 @@ from hpmetric.spectral import (fiedler_vector, laplacian, operator_laplacian,
 from hpmetric.stationary import stationary_distribution
 
 from conftest import random_chain
+from oracles import oracle_chung_laplacian
 
 
 def undirected_path3():
@@ -44,6 +50,26 @@ class TestSymmetrize:
         T = (s[:, None] * tm.P) / s[None, :]
         assert np.abs(L - (np.eye(12) - (T + T.T) / 2)).max() <= 1e-10
         assert np.abs(L - L.T).max() <= 1e-10
+
+    @pytest.mark.parametrize("tm", [random_chain(12, seed=9), random_chain(300, seed=4),
+                                    row_normalize(gen_glued_cycles(GluedCyclesSpec(3, 4, 2)))],
+                             ids=["random-12", "random-300", "glued-3-4-2"])
+    def test_chung_matches_oracle_bit_for_bit(self, tm):
+        phi = stationary_distribution(tm)
+        L = symmetrize(tm, phi, "chung").M
+        assert np.array_equal(L, oracle_chung_laplacian(tm.P, phi.phi))
+
+    def test_chung_in_two_buffers(self):
+        n = 400
+        tm = random_chain(n, seed=6)
+        phi = stationary_distribution(tm)
+        tracemalloc.start()
+        try:
+            symmetrize(tm, phi, "chung")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * n * n
 
     def test_chung_matches_normalized_laplacian_when_reversible(self):
         # Random undirected graph: row normalization gives a reversible chain,
@@ -148,9 +174,15 @@ class TestFiedler:
             fiedler_vector(L)
 
 
-def glued_hp_laplacian(beta):
-    tm = row_normalize(gen_glued_cycles(GluedCyclesSpec(3, 4, 2)))
+def glued_hp_laplacian(beta, spec=GluedCyclesSpec(3, 4, 2)):
+    tm = row_normalize(gen_glued_cycles(spec))
     return operator_laplacian(symmetrize(tm, stationary_distribution(tm), "hp", beta))
+
+
+def hp_laplacian(n, seed):
+    """The hp Laplacian at beta = 1/2 of a random digraph with p = 20/n."""
+    tm = row_normalize(gen_random_strongly_connected(n, p=min(1.0, 20.0 / n), seed=seed))
+    return operator_laplacian(symmetrize(tm, stationary_distribution(tm), "hp", 0.5))
 
 
 def chung_laplacian(n, seed):
@@ -164,33 +196,53 @@ SUBSET_CASES = {
     "random-15": lambda: laplacian(random_adjacency(15, 1)),
     "random-60": lambda: laplacian(random_adjacency(60, 3)),
     "chung-300": lambda: chung_laplacian(300, 11),
+    # On either side of the switch to shift-invert Lanczos.
+    "random-below-lanczos": lambda: laplacian(random_adjacency(spectral.LANCZOS_MIN_N - 1, 4)),
+    "random-at-lanczos": lambda: laplacian(random_adjacency(spectral.LANCZOS_MIN_N, 4)),
+    "hp-random-lanczos": lambda: hp_laplacian(spectral.LANCZOS_MIN_N + 200, 11),
+    "chung-2001": lambda: chung_laplacian(2001, 5),
 }
 
 
 def spied_solve(L):
-    """fiedler_vector(L), and the keyword arguments and eigenvalues of each
-    la.eigh call it made."""
+    """fiedler_vector(L), and the name, keyword arguments and eigenvalues of
+    each eigensolver call it made."""
     calls = []
-    eigh = la.eigh
 
-    def spy(*args, **kwargs):
-        vals, vecs = eigh(*args, **kwargs)
-        calls.append((kwargs, vals))
-        return vals, vecs
+    def spy(name, solve):
+        def call(*args, **kwargs):
+            vals, vecs = solve(*args, **kwargs)
+            calls.append((name, kwargs, vals))
+            return vals, vecs
+        return call
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral.la, "eigh", spy)
+        mp.setattr(spectral.la, "eigh", spy("eigh", la.eigh))
+        mp.setattr(spectral, "eigsh", spy("eigsh", spectral.eigsh))
         v, _ = fiedler_vector(L)
     return v, calls
 
 
+def dense_solve(L):
+    """fiedler_vector with the dense three-eigenpair solve at every size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "LANCZOS_MIN_N", np.inf)
+        return fiedler_vector(L)
+
+
 def full_solve(L):
-    """fiedler_vector with the full eigendecomposition in place of the subset
-    solve."""
+    """fiedler_vector with the full eigendecomposition in place of the
+    three-eigenpair solve, at every size."""
     eigh = la.eigh
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "LANCZOS_MIN_N", np.inf)
         mp.setattr(spectral.la, "eigh", lambda A, **kwargs: eigh(A))
         return fiedler_vector(L)
+
+
+def off_subspace(v, V):
+    """Distance of the unit vector v from the span of V's orthonormal columns."""
+    return la.norm(v - V @ (V.T @ v))
 
 
 class TestFiedlerSubset:
@@ -201,11 +253,16 @@ class TestFiedlerSubset:
         ref, _ = full_solve(L)
 
         v, calls = spied_solve(L)
-        (kwargs, vals), = calls
-        assert kwargs == {"subset_by_index": [0, 2]}
+        (solver, kwargs, vals), = calls
+        if L.shape[0] < spectral.LANCZOS_MIN_N:
+            assert (solver, kwargs) == ("eigh", {"subset_by_index": [0, 2]})
+        else:
+            assert (solver, kwargs["k"], kwargs["which"]) == ("eigsh", 3, "LM")
+        vals = np.sort(vals)
         want = ref_vals[:3]
         assert np.all(np.abs(vals - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
         assert np.abs(v - ref).max() <= 1e-10
+        assert la.norm(L @ v - want[1] * v) <= 1e-8 * la.norm(L)
 
     @pytest.mark.parametrize("solve", [fiedler_vector, full_solve], ids=["subset", "full"])
     def test_tied_magnitudes_lowest_index_leads(self, solve):
@@ -214,10 +271,77 @@ class TestFiedlerSubset:
         _, signs = solve(glued_hp_laplacian(0.5))
         assert "".join("-0+"[s + 1] for s in signs) == "000++++----"
 
-    def test_dense_subset_solve_above_2000_nodes(self):
-        # Large chains take the same three-eigenpair dense solve.
-        L = chung_laplacian(2001, 5)
+    def test_multiple_eigenvalue_on_complete_graph(self):
+        # The uniform walk on K_n, additively symmetrized: its Laplacian has
+        # eigenvalues 0 and n / (n - 1), the latter n - 1 times, so any unit
+        # vector orthogonal to 1 is a Fiedler vector.
+        n = spectral.LANCZOS_MIN_N
+        tm = row_normalize(make_digraph(np.ones((n, n)) - np.eye(n)))
+        L = operator_laplacian(symmetrize(tm, stationary_distribution(tm), "additive"))
+        with pytest.warns(RuntimeWarning, match="nearly coincide"):
+            v, calls = spied_solve(L)
+        assert [c[0] for c in calls] == ["eigsh"]
+        assert abs(v.sum()) <= 1e-10
+        assert la.norm(L @ v - n / (n - 1) * v) <= 1e-8 * la.norm(L)
+        # The returned eigenvalues are Rayleigh quotients, accurate to rounding
+        # in ||L|| (eigsh's own Ritz values are off by about 5e-13 here).
+        vals, _ = spectral._lanczos_eigenpairs(L)
+        assert np.abs(vals[1:] - n / (n - 1)).max() <= 1e-13
+
+    def test_fiedler_eigenvalue_below_the_shift(self):
+        # Two random blocks joined by one edge of weight 1e-9: lambda_2 lies
+        # below the shift, next to lambda_1 = 0.  Only the span of the two is
+        # determined to rounding, and within it the split between the blocks.
+        n = spectral.LANCZOS_MIN_N
+        h = n // 2
+        M = np.zeros((n, n))
+        M[:h, :h] = random_adjacency(h, 6)
+        M[h:, h:] = random_adjacency(n - h, 7)
+        M[0, h] = M[h, 0] = 1e-9
+        L = laplacian(M)
+        ref_vals, V = la.eigh(L, subset_by_index=[0, 1])
+        assert ref_vals[1] < spectral.SHIFT * np.diag(L).max()
+
         v, calls = spied_solve(L)
-        (kwargs, vals), = calls
-        assert kwargs == {"subset_by_index": [0, 2]}
-        assert la.norm(L @ v - vals[1] * v) <= 1e-8 * la.norm(L)
+        assert [c[0] for c in calls] == ["eigsh"]
+        assert off_subspace(v, V) <= 1e-10
+        _, signs = fiedler_vector(L)
+        assert set(signs[:h]) == {signs[0]} and set(signs[h:]) == {-signs[0]} != {0}
+
+    def test_near_double_eigenvalue_compares_subspaces(self):
+        # Glued (100, 300, 3): the three cycles make lambda_2 = lambda_3 up to
+        # rounding, so only their eigenspace is determined.
+        L = glued_hp_laplacian(0.5, GluedCyclesSpec(100, 300, 3))
+        assert L.shape[0] >= spectral.LANCZOS_MIN_N
+        _, V = la.eigh(L, subset_by_index=[1, 2])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "second and third eigenvalues nearly coincide")
+            v, calls = spied_solve(L)
+        assert [c[0] for c in calls] == ["eigsh"]
+        assert off_subspace(v, V) <= 1e-10
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["dense", "lanczos"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_laplacian_rejected(self, offset, bad):
+        L = laplacian(random_adjacency(spectral.LANCZOS_MIN_N + offset, 2))
+        L[0, 1] = L[1, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fiedler_vector(L)
+
+    def test_lanczos_output_repeats_bit_for_bit(self):
+        L = hp_laplacian(spectral.LANCZOS_MIN_N, 3)
+        v1, s1 = fiedler_vector(L)
+        v2, s2 = fiedler_vector(L)
+        assert np.array_equal(v1, v2) and np.array_equal(s1, s2)
+
+    def test_no_convergence_falls_back_to_dense_solve(self, monkeypatch):
+        L = laplacian(random_adjacency(spectral.LANCZOS_MIN_N, 8))
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        want = dense_solve(L)
+        monkeypatch.setattr(spectral, "eigsh", no_convergence)
+        with pytest.warns(RuntimeWarning, match="Lanczos did not converge"):
+            v, signs = fiedler_vector(L)
+        assert np.array_equal(v, want[0]) and np.array_equal(signs, want[1])
