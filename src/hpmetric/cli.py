@@ -4,34 +4,35 @@ Subcommands: stationary, hitprob, metric, quotient, symmetrize, fiedler,
 generate, cluster, embed, verify.  Exit codes: 0 success,
 1 verification failure, 2 input/domain error, 3 numerical failure.
 
-Thread count for the BLAS backends comes from --threads or HPMETRIC_THREADS
-and must be configured before numpy loads, so all compute imports happen
-inside the handlers.
+The BLAS thread count comes from the BLAS library's own environment
+variables (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS), set
+before the process starts; with one thread, reruns are bit-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
+import numpy as np
 
-def _configure_threads(threads) -> None:
-    if threads is None:
-        threads = os.environ.get("HPMETRIC_THREADS")
-    if threads is None:
-        return
-    t = str(int(threads))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = t
+from .errors import InputError, NumericalError, ParseError, StructureError
+from .files import write_column_csv, write_dense_csv, write_edge_csv, write_meta
+from .generators import (GeometricGraphSpec, GluedCyclesSpec, PlantedPartitionSpec,
+                         gen_er_cycle, gen_geometric, gen_glued_cycles, gen_planted_partition,
+                         gen_random_strongly_connected)
+from .graphs import largest_scc, load_edge_list, make_digraph, row_normalize
+from .hitting import hitting_by_reduction, hitting_fast, simulate_hit_before_return
+from .metric import degenerate_pairs, hp_distance, hp_similarity
+from .quotient import quotient_from_report
+from .spectral import fiedler_vector, operator_laplacian, symmetrize
+from .stationary import stationary_distribution
+from .verify import run_levels
 
 
 def _load_chain(args):
-    from .graphs import largest_scc, load_edge_list, row_normalize
-
     if getattr(args, "model", None):
         return row_normalize(_model(args)[0])
     if args.input == "-":
@@ -65,24 +66,14 @@ def _add_model_flags(p, n_default):
 
 
 def cmd_stationary(args) -> int:
-    from .files import write_column_csv, write_meta
-    from .stationary import stationary_distribution
-
-    started = time.time()
     tm = _load_chain(args)
     phi = stationary_distribution(tm)
     write_column_csv(args.out, tm.labels, {"phi": phi.phi})
-    write_meta(args.out, "stationary", {"input": args.input}, started=started)
+    write_meta(args.out, "stationary", {"input": args.input}, started=args.started)
     return 0
 
 
 def cmd_hitprob(args) -> int:
-    from .files import write_dense_csv, write_meta
-    from .hitting import hitting_by_reduction, hitting_fast, simulate_hit_before_return
-
-    from .errors import InputError
-
-    started = time.time()
     tm = _load_chain(args)
     if args.mc:
         src, dst = args.mc
@@ -105,17 +96,11 @@ def cmd_hitprob(args) -> int:
     write_dense_csv(args.out, Q, tm.labels)
     write_meta(args.out, "hitprob",
                {"input": args.input, "path": "reference" if reference else "fast"},
-               started=started)
+               started=args.started)
     return 0
 
 
 def cmd_metric(args) -> int:
-    from .files import write_dense_csv, write_meta
-    from .hitting import hitting_fast
-    from .metric import hp_distance, hp_similarity
-    from .stationary import stationary_distribution
-
-    started = time.time()
     tm = _load_chain(args)
     labels = tm.labels
     phi = stationary_distribution(tm)
@@ -129,29 +114,21 @@ def cmd_metric(args) -> int:
     write_dense_csv(args.out, dist.D, labels)
     params = {"input": args.input, "beta": args.beta, "tol_deg": args.tol_deg,
               "is_pseudo": dist.is_pseudo}
-    write_meta(args.out, "metric", params, started=started)
+    write_meta(args.out, "metric", params, started=args.started)
     if args.similarity:
         write_dense_csv(args.similarity, sim.A, labels)
-        write_meta(args.similarity, "metric", params, started=started)
+        write_meta(args.similarity, "metric", params, started=args.started)
     return 0
 
 
 def cmd_quotient(args) -> int:
-    from .files import write_edge_csv, write_meta
-    from .graphs import make_digraph
-    from .hitting import hitting_fast
-    from .metric import degenerate_pairs
-    from .quotient import quotient_from_report
-    from .stationary import stationary_distribution
-
-    started = time.time()
     tm = _load_chain(args)
     phi = stationary_distribution(tm)
     report = degenerate_pairs(hitting_fast(tm), phi, args.tol_deg)
     qc = quotient_from_report(tm, phi, report)
     write_edge_csv(args.out, make_digraph(qc.chain.P, qc.chain.labels))
     write_meta(args.out, "quotient", {"input": args.input, "tol_deg": args.tol_deg,
-                                      "n_classes": len(qc.classes)}, started=started)
+                                      "n_classes": len(qc.classes)}, started=args.started)
     with open(args.map, "w", encoding="utf-8") as fh:
         fh.write("node,class\n")
         for i, lab in enumerate(tm.labels):
@@ -160,27 +137,17 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_symmetrize(args) -> int:
-    from .files import write_dense_csv, write_meta
-    from .spectral import symmetrize
-    from .stationary import stationary_distribution
-
-    started = time.time()
     tm = _load_chain(args)
     phi = stationary_distribution(tm)
     op = symmetrize(tm, phi, args.method, beta=args.beta)
     write_dense_csv(args.out, op.M, tm.labels)
     write_meta(args.out, "symmetrize",
                {"input": args.input, "method": args.method, "beta": args.beta},
-               started=started)
+               started=args.started)
     return 0
 
 
 def cmd_fiedler(args) -> int:
-    from .files import write_column_csv, write_meta
-    from .spectral import fiedler_vector, operator_laplacian, symmetrize
-    from .stationary import stationary_distribution
-
-    started = time.time()
     tm = _load_chain(args)
     labels = tm.labels
     phi = stationary_distribution(tm)
@@ -193,7 +160,7 @@ def cmd_fiedler(args) -> int:
     write_column_csv(args.out, labels, {"value": v, "sign": sign_chars})
     write_meta(args.out, "fiedler",
                {"input": args.input, "method": args.method, "beta": args.beta},
-               started=started)
+               started=args.started)
     return 0
 
 
@@ -201,22 +168,15 @@ def _model(args):
     """The ``--model`` graph, with generate's parameters, truth and coordinates."""
     params = truth = coords = None
     if args.model == "glued":
-        from .generators import GluedCyclesSpec, gen_glued_cycles
-
         g = gen_glued_cycles(GluedCyclesSpec(args.nb, args.nc, args.C))
         params = {"model": "glued", "nb": args.nb, "nc": args.nc, "C": args.C}
     elif args.model == "er-cycle":
-        from .generators import gen_er_cycle
-
         self_loops = getattr(args, "self_loops", False)
         g = gen_er_cycle(args.n_er, args.n_cycle, args.p, args.w, args.seed,
                          self_loops=self_loops)
         params = {"model": "er-cycle", "n_er": args.n_er, "n_cycle": args.n_cycle,
                   "p": args.p, "w": args.w, "self_loops": self_loops}
     elif args.model == "planted":
-        from .errors import InputError
-        from .generators import PlantedPartitionSpec, gen_planted_partition
-
         if args.p_in is not None and args.p_out is not None:
             p_in, p_out = args.p_in, args.p_out
         elif args.rho is not None and args.delta is not None:
@@ -229,32 +189,21 @@ def _model(args):
         params = {"model": "planted", "n": args.n, "k": args.k,
                   "p_in": p_in, "p_out": p_out}
     elif args.model == "geometric":
-        from .generators import GeometricGraphSpec, gen_geometric
-
         g, coords = gen_geometric(
             GeometricGraphSpec(args.domain, args.n, args.gamma), args.seed)
         params = {"model": "geometric", "domain": args.domain, "n": args.n,
                   "gamma": args.gamma}
     elif args.model == "complete":
-        import numpy as np
-
-        from .graphs import make_digraph
-
         g = make_digraph(1.0 - np.eye(args.n))
     else:
-        from .generators import gen_random_strongly_connected
-
         g = gen_random_strongly_connected(args.n, seed=args.seed)
     return g, params, truth, coords
 
 
 def cmd_generate(args) -> int:
-    from .files import write_column_csv, write_edge_csv, write_meta
-
-    started = time.time()
     g, params, truth, coords = _model(args)
     write_edge_csv(args.out, g)
-    write_meta(args.out, "generate", params, seed=args.seed, started=started)
+    write_meta(args.out, "generate", params, seed=args.seed, started=args.started)
     if truth is not None and args.truth:
         write_column_csv(args.truth, g.labels, {"community": [int(t) for t in truth]})
     if coords is not None and args.coords:
@@ -264,12 +213,6 @@ def cmd_generate(args) -> int:
 
 
 def _distance_matrix(tm, which):
-    import numpy as np
-
-    from .hitting import hitting_fast
-    from .metric import hp_distance, hp_similarity
-    from .stationary import stationary_distribution
-
     if which == "A":
         return np.asarray(tm.P)
     phi = stationary_distribution(tm)
@@ -278,6 +221,10 @@ def _distance_matrix(tm, which):
 
 
 def cmd_cluster(args) -> int:
+    # Imported here, not at the top: clustering loads scipy.optimize, which
+    # would add 0.19 s to every command's start.  Every other module imports
+    # in 0.29 s together, within 0.01 s of what stationary alone needs (fresh
+    # processes, best of 15).
     from .clustering import empirical_p_value, kmeans, kmedoids, pca_embed, purity_accuracy
 
     tm = _load_chain(args)
@@ -308,16 +255,21 @@ def cmd_cluster(args) -> int:
 
 
 def _read_truth(path, labels):
-    from .errors import InputError
-
     by_label = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_number, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8: {exc.reason}", line_number) from None
             if not line or line.startswith("#") or line.startswith("label,"):
                 continue
             lab, _, val = line.rpartition(",")
-            by_label[lab] = int(val)
+            try:
+                by_label[lab] = int(val)
+            except ValueError:
+                raise ParseError(f"community must be an integer, got {val!r}",
+                                 line_number) from None
     missing = [l for l in labels if l not in by_label]
     if missing:
         raise InputError(f"truth file missing labels, e.g. {missing[0]!r}")
@@ -325,10 +277,8 @@ def _read_truth(path, labels):
 
 
 def cmd_embed(args) -> int:
-    from .clustering import pca_embed
-    from .files import write_column_csv, write_meta
+    from .clustering import pca_embed  # deferred for the reason given in cmd_cluster
 
-    started = time.time()
     tm = _load_chain(args)
     M = _distance_matrix(tm, args.matrix)
     coords, ratios = pca_embed(M, args.dims)
@@ -337,14 +287,14 @@ def cmd_embed(args) -> int:
     write_meta(args.out, "embed",
                {"input": args.input, "matrix": args.matrix, "dims": args.dims,
                 "explained_variance": [float(r) for r in ratios]},
-               started=started)
+               started=args.started)
     return 0
 
 
 def cmd_verify(args) -> int:
-    from .errors import InputError
-    from .verify import run_levels
-
+    if not args.input and not args.model:
+        print("verify needs --in or --model", file=sys.stderr)
+        return 2
     try:
         betas = tuple(float(b) for b in args.beta.split(","))
     except ValueError:
@@ -362,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hpmetric",
         description="Hitting-probability metrics on directed graphs and Markov chains",
     )
-    ap.add_argument("--threads", type=int, default=None,
-                    help="BLAS thread count (default: HPMETRIC_THREADS or all cores)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stationary", help="invariant distribution as CSV label,phi")
@@ -464,13 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _configure_threads(args.threads)
-    from .errors import InputError, NumericalError, StructureError
-
+    args.started = time.time()
     try:
-        if args.command == "verify" and not args.input and not args.model:
-            print("verify needs --in or --model", file=sys.stderr)
-            return 2
         return args.func(args)
     except (InputError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

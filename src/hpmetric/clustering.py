@@ -160,16 +160,12 @@ def purity_accuracy(labels, truth) -> float:
     truth = np.asarray(truth)
     if labels.shape != truth.shape:
         raise InputError("labels and truth must have the same length")
-    pred_ids = np.unique(labels)
-    true_ids = np.unique(truth)
+    pred_ids, li = np.unique(labels, return_inverse=True)
+    true_ids, ti = np.unique(truth, return_inverse=True)
     k = max(pred_ids.size, true_ids.size)
     if k > 8:
         raise InputError("purity matching is limited to k <= 8 labels")
-    conf = np.zeros((k, k))
-    pred_pos = {v: i for i, v in enumerate(pred_ids)}
-    true_pos = {v: i for i, v in enumerate(true_ids)}
-    for a, b in zip(labels, truth):
-        conf[pred_pos[a], true_pos[b]] += 1
+    conf = np.bincount(li * k + ti, minlength=k * k).reshape(k, k)
     rows, cols = linear_sum_assignment(-conf)
     return float(conf[rows, cols].sum() / labels.size)
 

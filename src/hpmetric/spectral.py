@@ -140,7 +140,8 @@ def fiedler_vector(L: np.ndarray):
     entries within 1e-10 * max|v| of the largest count as tied, and the
     lowest index among them wins.  Returns the vector and its sign pattern
     in {-1, 0, +1}, where entries below ``ZERO_THRESHOLD * max|v|`` count as
-    zero.  Warns when the second and third eigenvalues nearly coincide,
+    zero.  Warns when the second and third eigenvalues nearly coincide
+    (their gap is below n u max|diag L|, with u = 2^-53, or below 1e-12),
     since the pattern is then basis dependent.
 
     Only the three smallest eigenpairs are computed.  Below
@@ -167,7 +168,11 @@ def fiedler_vector(L: np.ndarray):
     else:
         vals, vecs = _lanczos_eigenpairs(L)
 
-    if k >= 3 and abs(vals[2] - vals[1]) < 1e-12:
+    # Either solver's eigenvalues can be off by up to about n u ||L||, and
+    # max|diag L| bounds ||L||_2 within a factor 2.  The absolute 1e-12 stays
+    # as a floor: K4's computed gap, 1.8e-15 for an exact 0, exceeds 4 u * 3.
+    unresolved = max(1e-12, n * np.finfo(float).eps / 2 * np.abs(np.diagonal(L)).max())
+    if k >= 3 and abs(vals[2] - vals[1]) < unresolved:
         warnings.warn(
             "second and third eigenvalues nearly coincide; the Fiedler sign "
             "pattern may be basis dependent",

@@ -2,6 +2,8 @@ import argparse
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -9,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hpmetric
 from hpmetric import files
 from hpmetric.cli import build_parser, main
 from hpmetric.errors import ParseError
@@ -21,6 +24,9 @@ from hpmetric.stationary import stationary_distribution
 
 from oracles import (oracle_read_dense_csv, oracle_write_column_csv, oracle_write_dense_csv,
                      oracle_write_edge_csv)
+
+
+SRC = os.path.dirname(os.path.dirname(hpmetric.__file__))
 
 
 @pytest.fixture
@@ -577,14 +583,32 @@ class TestVerifyAndExitCodes:
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
 
-    def test_threads_flag_identical_output(self, glued_csv, tmp_path):
-        a = tmp_path / "qa.csv"
-        b = tmp_path / "qb.csv"
-        assert main(["--threads", "1", "hitprob", "--in", str(glued_csv),
-                     "--out", str(a)]) == 0
-        assert main(["--threads", "1", "hitprob", "--in", str(glued_csv),
-                     "--out", str(b)]) == 0
-        assert a.read_text() == b.read_text()
+    def test_one_blas_thread_identical_output(self, glued_csv, tmp_path):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=SRC)
+        outs = [tmp_path / "qa.csv", tmp_path / "qb.csv"]
+        for out in outs:
+            subprocess.run([sys.executable, "-m", "hpmetric.cli", "hitprob",
+                            "--in", str(glued_csv), "--out", str(out)], env=env, check=True)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_verify_without_input_exit_2(self, capsys):
+        assert main(["verify", "--levels", "identity"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verify needs --in or --model\n"
+
+    @pytest.mark.parametrize("bad_line, message", [
+        (b"b2,x", "community must be an integer, got 'x'"),
+        (b"b2,\xff", "not UTF-8: invalid start byte"),
+    ], ids=["not-integer", "not-utf8"])
+    def test_bad_truth_file_exit_2(self, glued_csv, tmp_path, capsys, bad_line, message):
+        truth = tmp_path / "truth.csv"
+        truth.write_bytes(b"label,community\nb1,0\n" + bad_line + b"\n")
+        assert main(["cluster", "--in", str(glued_csv), "--method", "pca-kmeans-A",
+                     "--k", "2", "--truth", str(truth)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: line 3: {message}"]
 
     def test_matrix_market_input(self, tmp_path):
         mm = tmp_path / "g.mtx"

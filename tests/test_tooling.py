@@ -1,15 +1,20 @@
 """The benchmark's tracer wraps hpmetric functions by name, its workloads call
 hpmetric by name and its worker reads result fields: every name must still
-resolve, or a benchmark run fails on a missing attribute."""
+resolve, or a benchmark run fails on a missing attribute.  The last test pins
+the command line's start-up imports."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import hpmetric
 from hpmetric.hitting import HittingProbabilities
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -128,3 +133,14 @@ def test_worker_binds_a_parameter(traced, key):
     mod, name = traced.split(".")
     fn = getattr(importlib.import_module(f"hpmetric.{mod}"), name)
     assert key in inspect.signature(fn).parameters
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """cli imports clustering, which loads scipy.optimize, only in the
+    subcommands that use it, so every other command starts without it."""
+    src = str(Path(hpmetric.__file__).resolve().parents[1])
+    code = ("import sys, hpmetric.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.optimize', 'hpmetric.clustering'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
