@@ -2,7 +2,8 @@
 
 Subcommands: stationary, hitprob, metric, quotient, symmetrize, fiedler,
 generate, cluster, embed, verify.  Exit codes: 0 success,
-1 verification failure, 2 input/domain error, 3 numerical failure.
+1 verification failure, 2 input/domain error or unreadable file,
+3 numerical failure.
 
 The BLAS thread count comes from the BLAS library's own environment
 variables (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS), set
@@ -23,9 +24,9 @@ from .files import write_column_csv, write_dense_csv, write_edge_csv, write_meta
 from .generators import (GeometricGraphSpec, GluedCyclesSpec, PlantedPartitionSpec,
                          gen_er_cycle, gen_geometric, gen_glued_cycles, gen_planted_partition,
                          gen_random_strongly_connected)
-from .graphs import largest_scc, load_edge_list, make_digraph, row_normalize
+from .graphs import largest_scc, load_edge_list, make_digraph, numbered_lines, row_normalize
 from .hitting import hitting_by_reduction, hitting_fast, simulate_hit_before_return
-from .metric import degenerate_pairs, hp_distance, hp_similarity
+from .metric import TOL_DEG, degenerate_pairs, hp_distance, hp_similarity
 from .quotient import quotient_from_report
 from .spectral import fiedler_vector, operator_laplacian, symmetrize
 from .stationary import stationary_distribution
@@ -257,11 +258,8 @@ def cmd_cluster(args) -> int:
 def _read_truth(path, labels):
     by_label = {}
     with open(path, "rb") as fh:
-        for line_number, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"not UTF-8: {exc.reason}", line_number) from None
+        for line_number, line in numbered_lines(fh):
+            line = line.strip()
             if not line or line.startswith("#") or line.startswith("label,"):
                 continue
             lab, _, val = line.rpartition(",")
@@ -334,14 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--similarity", help="also write the similarity matrix")
-    p.add_argument("--tol-deg", type=float, default=1e-9, dest="tol_deg")
+    p.add_argument("--tol-deg", type=float, default=TOL_DEG, dest="tol_deg")
     p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("quotient", help="collapse zero-distance classes")
     _add_input_flags(p)
     p.add_argument("--out", required=True, help="quotient chain as edge list")
     p.add_argument("--map", required=True, help="node,class CSV")
-    p.add_argument("--tol-deg", type=float, default=1e-9, dest="tol_deg")
+    p.add_argument("--tol-deg", type=float, default=TOL_DEG, dest="tol_deg")
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("symmetrize", help="symmetric operator for a chain")
@@ -404,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walks", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--beta", default="0.5,0.75,1.0")
-    p.add_argument("--tol-deg", type=float, default=1e-9, dest="tol_deg")
+    p.add_argument("--tol-deg", type=float, default=TOL_DEG, dest="tol_deg")
     p.set_defaults(func=cmd_verify)
 
     return ap
@@ -415,7 +413,7 @@ def main(argv=None) -> int:
     args.started = time.time()
     try:
         return args.func(args)
-    except (InputError, StructureError) as exc:
+    except (InputError, StructureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: InputError -> 2, NumericalError -> 3.
-Verification failures are reported, not raised.
+Exit-code mapping used by the CLI: InputError, StructureError and an
+unreadable or unwritable file (OSError) -> 2, NumericalError -> 3.
+Verification failures are reported, not raised; they exit 1.
 """
 
 

@@ -278,7 +278,10 @@ def read_dense_csv(path):
             if not line.strip() or line.startswith(b"#"):
                 continue
             if labels is None:
-                labels = line.decode("utf-8").split(",")
+                try:
+                    labels = line.decode("utf-8").split(",")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"not UTF-8: {exc.reason}", lineno) from None
                 continue
             try:
                 row = np.fromstring(line, sep=",")

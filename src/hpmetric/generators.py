@@ -46,14 +46,6 @@ class PlantedPartitionSpec:
         if self.n % self.k:
             raise InputError("n must be divisible by k (balanced communities)")
 
-    @property
-    def delta(self) -> float:
-        return self.p_in - self.p_out
-
-    @property
-    def rho(self) -> float:
-        return (self.p_in + 2.0 * self.p_out) / 3.0
-
 
 GEOMETRIC_DOMAINS = (
     "flat-torus", "torus-with-hole", "H-domain", "circle", "sphere", "torus-lattice",

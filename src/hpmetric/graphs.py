@@ -173,7 +173,7 @@ def row_normalize(g: WeightedDigraph) -> TransitionMatrix:
     return TransitionMatrix(n=g.n, P=w, labels=list(g.labels))
 
 
-def _numbered_lines(source):
+def numbered_lines(source):
     """(number, text) of each line of bytes, str, or a binary or text stream,
     ended by \\n, \\r\\n or \\r as a text file reads them.  Bytes are
     decoded as UTF-8 one line at a time: the whole text is never held."""
@@ -284,7 +284,7 @@ def _matrix_market_edges(lines, rows: array, cols: array, vals: array) -> list:
 
 def load_edge_list(source, format: str = "csv") -> WeightedDigraph:
     """Parse bytes, str, or a binary or text stream into a WeightedDigraph
-    in one pass over its lines (see ``_numbered_lines``).
+    in one pass over its lines (see ``numbered_lines``).
 
     CSV: one `src,dst[,weight]` edge per line, weight defaulting to 1.0,
     '#' comments ignored, nodes ordered by first appearance.  Matrix Market:
@@ -296,7 +296,7 @@ def load_edge_list(source, format: str = "csv") -> WeightedDigraph:
     if edges is None:
         raise InputError(f"unknown edge list format {format!r}")
     rows, cols, vals = array("i"), array("i"), array("d")
-    labels = edges(_numbered_lines(source), rows, cols, vals)
+    labels = edges(numbered_lines(source), rows, cols, vals)
     n = len(labels)
     weights = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return WeightedDigraph(n=n, labels=labels, weights=weights)

@@ -42,10 +42,6 @@ class HittingProbabilities:
     smw_fallbacks: int = 0
     used_reference: bool = False
 
-    @property
-    def n(self) -> int:
-        return self.Q.shape[0]
-
 
 def hitting_reference(tm: TransitionMatrix, j: int) -> np.ndarray:
     """Column j of Q by an independent dense factorization (a test reference).

@@ -42,10 +42,6 @@ class HpDistance:
     D: np.ndarray
     is_pseudo: bool
 
-    @property
-    def n(self) -> int:
-        return self.D.shape[0]
-
 
 @dataclass(frozen=True)
 class DegeneracyReport:

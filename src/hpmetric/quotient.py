@@ -45,7 +45,7 @@ class SegmentLabeling:
 class QuotientChain:
     chain: TransitionMatrix
     classes: list  # member lists defining the quotient state order
-    class_map: list  # original node -> quotient state
+    class_map: np.ndarray  # original node -> quotient state (intp)
     phi_prime: np.ndarray
     # Commute orders of the non-singleton classes, when the quotient was
     # built from a degeneracy report (which validates each class by ordering it).
@@ -127,26 +127,27 @@ def quotient_chain(tm: TransitionMatrix, phi: StationaryDistribution, partition)
 
     P'[U, V] = (1/phi_U) * sum_{i in U} phi_i * sum_{j in V} P[i, j];
     phi'[U] = sum_{i in U} phi_i.
+
+    Both are class sums by the sparse m-by-n indicator S; P' is
+    (S (S_phi P)^T)^T / phi' with S_phi = S diag(phi).
     """
     n = tm.n
-    classes = sorted((sorted(c) for c in partition), key=lambda c: c[0])
-    covered = [i for c in classes for i in c]
-    if sorted(covered) != list(range(n)):
+    classes = sorted((sorted(c) for c in partition), key=lambda c: c[:1])
+    sizes = [len(c) for c in classes]
+    members = np.concatenate([[], *classes])  # [] lets an empty partition fail the check
+    if 0 in sizes or not np.array_equal(np.sort(members), np.arange(n)):
         raise StructureError("partition must cover every state exactly once")
 
     m = len(classes)
-    class_map = [0] * n
-    for u, cls in enumerate(classes):
-        for i in cls:
-            class_map[i] = u
-    S = np.zeros((n, m))
-    for i, u in enumerate(class_map):
-        S[i, u] = 1.0
-
+    class_map = np.empty(n, dtype=np.intp)
+    class_map[members.astype(np.intp)] = np.repeat(np.arange(m), sizes)
     p = phi.phi
-    phi_prime = S.T @ p
-    weighted = (p[:, None] * tm.P) @ S  # phi_i * P[i, V]
-    P_prime = (S.T @ weighted) / phi_prime[:, None]
+    rows = (class_map, np.arange(n))
+    S = sp.csr_matrix((np.ones(n), rows), shape=(m, n))
+    phi_prime = S @ p
+    flow = sp.csr_matrix((p, rows), shape=(m, n)) @ tm.P  # sum_{i in U} phi_i P[i, :]
+    # C order like every other P, so solves on the quotient see the same layout.
+    P_prime = np.divide((S @ flow.T).T, phi_prime[:, None], order="C")
     labels = ["+".join(str(tm.labels[i]) for i in cls) for cls in classes]
     chain = TransitionMatrix(n=m, P=P_prime, labels=labels)
     return QuotientChain(chain=chain, classes=classes, class_map=class_map,

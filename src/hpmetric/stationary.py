@@ -25,10 +25,6 @@ NEGATIVE_CLAMP = 1e-13
 class StationaryDistribution:
     phi: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.phi.shape[0]
-
 
 @per_chain
 def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:

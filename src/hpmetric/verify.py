@@ -18,14 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .graphs import TransitionMatrix
+from .graphs import ROW_SUM_TOL, TransitionMatrix
 from .hitting import (hitting_by_reduction, hitting_fast, simulate_hit_before_return,
                       simulate_visit_counts)
-from .metric import (axiom_report, degenerate_pairs, hp_distance, hp_similarity,
+from .metric import (TOL_DEG, axiom_report, degenerate_pairs, hp_distance, hp_similarity,
                      pivot_maxima, repeated_index_slack)
 from .quotient import check_quotient_bounds, quotient_from_report, segments
 from .rng import stream
-from .stationary import stationary_distribution
+from .stationary import RESIDUAL_TOL, stationary_distribution
 
 LEVELS = ("identity", "metric", "quotient", "oracle")
 
@@ -69,8 +69,8 @@ def level_identity(tm: TransitionMatrix) -> dict:
         ref -= Q
         ref_err = np.abs(ref, out=ref).max()
     return {
-        "row_sums": _check(np.abs(tm.P.sum(axis=1) - 1.0).max(), 1e-12),
-        "stationary_residual": _check(np.abs(tm.P.T @ phi.phi - phi.phi).max(), 1e-10),
+        "row_sums": _check(np.abs(tm.P.sum(axis=1) - 1.0).max(), ROW_SUM_TOL),
+        "stationary_residual": _check(np.abs(tm.P.T @ phi.phi - phi.phi).max(), RESIDUAL_TOL),
         "detailed_balance": _check(balance, BALANCE_TOL),
         "submultiplicativity": _check(submult, SUBMULT_TOL),
         "fast_vs_reference": _check(ref_err, FAST_REF_TOL),
@@ -105,7 +105,7 @@ def level_metric(tm: TransitionMatrix, betas=(0.5, 0.75, 1.0)) -> dict:
     return {f"beta={beta:g}": out[beta] for beta in betas}
 
 
-def level_quotient(tm: TransitionMatrix, tol_deg: float = 1e-9) -> dict:
+def level_quotient(tm: TransitionMatrix, tol_deg: float = TOL_DEG) -> dict:
     phi = stationary_distribution(tm)
     Q = hitting_fast(tm)
     dist = hp_distance(hp_similarity(Q, phi, 0.5))
@@ -190,7 +190,7 @@ def _collect_ok(node) -> bool:
 
 
 def run_levels(tm: TransitionMatrix, levels, walks: int = 20000, seed: int = 0,
-               betas=(0.5, 0.75, 1.0), tol_deg: float = 1e-9) -> dict:
+               betas=(0.5, 0.75, 1.0), tol_deg: float = TOL_DEG) -> dict:
     run = {"identity": lambda: level_identity(tm),
            "metric": lambda: level_metric(tm, betas),
            "quotient": lambda: level_quotient(tm, tol_deg),

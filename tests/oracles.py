@@ -18,7 +18,9 @@ arrays, and the edge-list writer formats each edge's line with one Python
 ``%`` from three whole-graph lists rather than formatting chunks of edges
 in numpy, and the hp similarity and the chung Laplacian are whole-matrix
 expressions with their n x n temporaries rather than symmetrized tile by
-tile in place or built in two buffers.
+tile in place or built in two buffers, and the quotient chain multiplies by
+a dense n x m class indicator filled one state at a time rather than
+summing over classes with a sparse one.
 """
 
 import itertools
@@ -31,8 +33,8 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from hpmetric.errors import InputError, ParseError, StructureError
-from hpmetric.graphs import WeightedDigraph
-from hpmetric.quotient import OrderedClass, SegmentLabeling
+from hpmetric.graphs import TransitionMatrix, WeightedDigraph
+from hpmetric.quotient import OrderedClass, QuotientChain, SegmentLabeling
 
 
 def oracle_hitting_probability(P: np.ndarray, i: int, j: int) -> float:
@@ -288,6 +290,34 @@ def oracle_quotient_bounds(dist, dist_prime, quotient, labelings: list,
         "max_isometry_error": max_isometry_err,
         "violations": violations,
     }
+
+
+def oracle_quotient_chain(tm, phi, partition) -> QuotientChain:
+    """hpmetric.quotient.quotient_chain by two dense products with the n x m
+    0/1 indicator S: phi' = S^T phi and P' = S^T ((phi o P) S) / phi'."""
+    n = tm.n
+    classes = sorted((sorted(c) for c in partition), key=lambda c: c[0])
+    covered = [i for c in classes for i in c]
+    if sorted(covered) != list(range(n)):
+        raise StructureError("partition must cover every state exactly once")
+
+    m = len(classes)
+    class_map = [0] * n
+    for u, cls in enumerate(classes):
+        for i in cls:
+            class_map[i] = u
+    S = np.zeros((n, m))
+    for i, u in enumerate(class_map):
+        S[i, u] = 1.0
+
+    p = phi.phi
+    phi_prime = S.T @ p
+    weighted = (p[:, None] * tm.P) @ S  # phi_i * P[i, V]
+    P_prime = (S.T @ weighted) / phi_prime[:, None]
+    labels = ["+".join(str(tm.labels[i]) for i in cls) for cls in classes]
+    chain = TransitionMatrix(n=m, P=P_prime, labels=labels)
+    return QuotientChain(chain=chain, classes=classes, class_map=class_map,
+                         phi_prime=phi_prime)
 
 
 def oracle_hp_similarity(Q: np.ndarray, phi: np.ndarray, beta: float):

@@ -14,12 +14,13 @@ import pytest
 import hpmetric
 from hpmetric import files
 from hpmetric.cli import build_parser, main
-from hpmetric.errors import ParseError
+from hpmetric.errors import NumericalError, ParseError
 from hpmetric.files import read_dense_csv, write_column_csv, write_dense_csv, write_edge_csv
 from hpmetric.generators import gen_random_strongly_connected
 from hpmetric.graphs import load_edge_list, make_digraph, row_normalize
 from hpmetric.hitting import hitting_fast
 from hpmetric.metric import hp_distance, hp_similarity
+from hpmetric.spectral import symmetrize
 from hpmetric.stationary import stationary_distribution
 
 from oracles import (oracle_read_dense_csv, oracle_write_column_csv, oracle_write_dense_csv,
@@ -35,6 +36,16 @@ def glued_csv(tmp_path):
     assert main(["generate", "--model", "glued", "--nb", "3", "--nc", "4",
                  "--C", "2", "--out", str(path)]) == 0
     return path
+
+
+@pytest.fixture
+def planted_csv(tmp_path):
+    """A planted partition of 30 nodes in 3 communities and its truth file."""
+    graph, truth = tmp_path / "pp.csv", tmp_path / "truth.csv"
+    assert main(["generate", "--model", "planted", "--n", "30", "--k", "3",
+                 "--p-in", "0.95", "--p-out", "0.05", "--seed", "4",
+                 "--out", str(graph), "--truth", str(truth)]) == 0
+    return graph, truth
 
 
 SPECIAL = np.array([[0.0, -0.0, np.inf, -np.inf],
@@ -187,6 +198,13 @@ class TestDenseRoundTrip:
             with pytest.raises(ParseError, match=f"^line {line}: {message}") as err:
                 read_dense_csv(path)
         assert err.value.line_number == line
+
+    def test_non_utf8_labels_report_their_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"# c\na,\xff\n1,2\n")
+        with pytest.raises(ParseError, match="^line 2: not UTF-8: invalid start byte") as err:
+            read_dense_csv(path)
+        assert err.value.line_number == 2
 
     def test_writer_streams_rows(self, tmp_path):
         n = 400
@@ -423,6 +441,17 @@ class TestSubcommands:
         out2 = tmp_path / "phi2.csv"
         assert main(["stationary", "--in", str(out), "--out", str(out2)]) == 0
 
+    @pytest.mark.parametrize("method", ["additive", "max", "chung", "hp"])
+    def test_symmetrize_writes_the_operator(self, method, glued_csv, tmp_path):
+        out = tmp_path / "m.csv"
+        assert main(["symmetrize", "--in", str(glued_csv), "--method", method,
+                     "--beta", "0.5", "--out", str(out)]) == 0
+        got, labels = read_dense_csv(out)
+        tm = row_normalize(load_edge_list(glued_csv.read_bytes()))
+        want = symmetrize(tm, stationary_distribution(tm), method, beta=0.5).M
+        assert labels == tm.labels
+        assert same_bits(got, want)
+
     def test_fiedler_sign_column(self, glued_csv, tmp_path):
         out = tmp_path / "f.csv"
         assert main(["fiedler", "--in", str(glued_csv), "--method", "hp",
@@ -442,6 +471,15 @@ class TestSubcommands:
         assert lines[0] == "label,community"
         assert len(lines) == 31
 
+    def test_generate_planted_by_rho_delta(self, tmp_path):
+        graph = tmp_path / "pp.csv"
+        assert main(["generate", "--model", "planted", "--n", "300", "--k", "3",
+                     "--rho", "0.40", "--delta", "0.06", "--seed", "1",
+                     "--out", str(graph)]) == 0
+        params = json.loads((tmp_path / "pp.meta.json").read_text())["parameters"]
+        assert params["p_in"] == 0.40 + 2.0 * 0.06 / 3.0
+        assert params["p_out"] == 0.40 - 0.06 / 3.0
+
     def test_generate_geometric_coords(self, tmp_path):
         graph = tmp_path / "geo.csv"
         coords = tmp_path / "xy.csv"
@@ -450,12 +488,8 @@ class TestSubcommands:
                      "--coords", str(coords)]) == 0
         assert len(coords.read_text().splitlines()) == 13
 
-    def test_cluster_json(self, tmp_path, capsys):
-        graph = tmp_path / "pp.csv"
-        truth = tmp_path / "truth.csv"
-        main(["generate", "--model", "planted", "--n", "30", "--k", "3",
-              "--p-in", "0.95", "--p-out", "0.05", "--seed", "4",
-              "--out", str(graph), "--truth", str(truth)])
+    def test_cluster_json(self, planted_csv, capsys):
+        graph, truth = planted_csv
         assert main(["cluster", "--in", str(graph), "--method", "pca-kmeans-d12",
                      "--k", "3", "--seed", "0", "--truth", str(truth),
                      "--trials", "200"]) == 0
@@ -463,6 +497,27 @@ class TestSubcommands:
         assert rep["accuracy"] >= 0.9
         assert rep["p_value"] <= 0.01
         assert len(rep["labels"]) == 30
+
+    def test_cluster_kmedoids(self, planted_csv, capsys):
+        graph, truth = planted_csv
+        assert main(["cluster", "--in", str(graph), "--method", "kmedoids-d12",
+                     "--k", "3", "--seed", "0", "--truth", str(truth),
+                     "--trials", "200"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["method"] == "kmedoids-d12"
+        assert rep["accuracy"] >= 0.9
+        assert sorted(set(rep["labels"].values())) == [0, 1, 2]
+
+    def test_truth_file_with_cr_line_ends(self, planted_csv, tmp_path, capsys):
+        graph, truth = planted_csv
+        cr = tmp_path / "truth-cr.csv"
+        cr.write_bytes(truth.read_bytes().replace(b"\n", b"\r"))
+        reports = []
+        for path in (truth, cr):
+            assert main(["cluster", "--in", str(graph), "--method", "pca-kmeans-A",
+                         "--k", "3", "--truth", str(path), "--trials", "50"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
     def test_embed(self, glued_csv, tmp_path):
         out = tmp_path / "coords.csv"
@@ -528,8 +583,11 @@ class TestVerifyAndExitCodes:
         ["verify", "--model", "glued", "--levels", "oracle", "--walks", "0"],
         ["hitprob", "--in", "GLUED", "--mc", "b1", "c1_1", "--walks", "0"],
         ["hitprob", "--in", "GLUED", "--mc", "b1", "b1"],
+        ["hitprob", "--in", "GLUED", "--mc", "b1", "nowhere"],
+        ["hitprob", "--in", "GLUED"],
     ], ids=["beta-abc", "beta-comma", "levels-bogus", "levels-partly-bogus", "levels-empty",
-            "verify-walks-0", "hitprob-walks-0", "mc-same-label"])
+            "verify-walks-0", "hitprob-walks-0", "mc-same-label", "mc-unknown-label",
+            "hitprob-no-out"])
     def test_input_errors_exit_2(self, argv, glued_csv, capsys):
         argv = [str(glued_csv) if a == "GLUED" else a for a in argv]
         assert main(argv) == 2
@@ -553,6 +611,35 @@ class TestVerifyAndExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: beta must be finite")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["missing-in", "missing-truth", "out-in-missing-dir"])
+    def test_unreadable_files_exit_2(self, case, glued_csv, tmp_path, capsys):
+        gone = tmp_path / "gone"
+        argv = {"missing-in": ["stationary", "--in", str(gone / "g.csv"),
+                               "--out", str(tmp_path / "phi.csv")],
+                "missing-truth": ["cluster", "--in", str(glued_csv), "--method",
+                                  "pca-kmeans-A", "--k", "2", "--truth", str(gone / "t.csv")],
+                "out-in-missing-dir": ["stationary", "--in", str(glued_csv),
+                                       "--out", str(gone / "phi.csv")]}[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: [Errno 2] No such file or directory")
+        assert str(gone) in lines[0]
+
+    def test_numerical_error_exit_3(self, glued_csv, tmp_path, capsys, monkeypatch):
+        def fail(tm):
+            raise NumericalError("singular")
+
+        monkeypatch.setattr("hpmetric.cli.stationary_distribution", fail)
+        assert main(["stationary", "--in", str(glued_csv),
+                     "--out", str(tmp_path / "phi.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: singular\n"
+        assert not (tmp_path / "phi.csv").exists()
 
     def test_reducible_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from hpmetric.stationary import StationaryDistribution, stationary_distribution
 
 from conftest import directed_cycle, pipeline, random_chain
 from oracles import (oracle_absolute_segments, oracle_order_class, oracle_quotient_bounds,
-                     oracle_segments)
+                     oracle_quotient_chain, oracle_segments)
 
 
 def collapse_gadget():
@@ -147,6 +148,61 @@ class TestQuotientChain:
 
         rep = verify_metric_axioms(dist_p)
         assert rep["symmetry_ok"] and rep["triangle_ok"] and rep["positivity_ok"]
+
+
+def assert_same_quotient(got, want, atol):
+    """Same classes, map, orders and labels; P' and phi' bit-identical when
+    ``atol`` is None, else within ``atol``."""
+    assert got.classes == want.classes
+    assert got.class_map.tolist() == list(want.class_map)
+    assert got.orders == want.orders
+    assert got.chain.labels == want.chain.labels
+    assert got.chain.P.flags.c_contiguous
+    for a, b in ((got.chain.P, want.chain.P), (got.phi_prime, want.phi_prime)):
+        if atol is None:
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert np.abs(a - b).max() <= atol
+
+
+class TestQuotientOracle:
+    """quotient_chain's sparse class sums against the dense-indicator products."""
+
+    @pytest.mark.parametrize("make", [lambda: random_chain(300, seed=1),
+                                      lambda: row_normalize(gen_er_cycle(20, 8, 0.5, 3.0, 1))],
+                             ids=["random-300", "er-cycle"])
+    def test_singletons_bit_identical(self, make):
+        tm = make()
+        phi = stationary_distribution(tm)
+        partition = [[i] for i in range(tm.n)][::-1]
+        assert_same_quotient(quotient_chain(tm, phi, partition),
+                             oracle_quotient_chain(tm, phi, partition), None)
+
+    @pytest.mark.parametrize("spec", [GluedCyclesSpec(5, 40, 3), GluedCyclesSpec(10, 30, 4)],
+                             ids=["5-40-3", "10-30-4"])
+    def test_glued_classes(self, spec):
+        tm = row_normalize(gen_glued_cycles(spec))
+        phi = stationary_distribution(tm)
+        report = degenerate_pairs(hitting_fast(tm), phi)
+        got = quotient_from_report(tm, phi, report)
+        want = oracle_quotient_chain(tm, phi, report.classes)
+        want = replace(want, orders=[oracle_order_class(tm, c) for c in report.non_singleton()])
+        assert len(got.orders) >= 3
+        assert_same_quotient(got, want, 1e-14)
+
+    def test_arbitrary_partition(self):
+        tm = random_chain(200, seed=3)
+        phi = stationary_distribution(tm)
+        which = stream(5).integers(17, size=tm.n)
+        partition = [np.flatnonzero(which == u).tolist() for u in range(17)]
+        assert_same_quotient(quotient_chain(tm, phi, partition),
+                             oracle_quotient_chain(tm, phi, partition), 1e-14)
+
+    @pytest.mark.parametrize("partition", [[[0, 1, 2], []], [[0, 1], [1, 2]], [[0], [2]], []],
+                             ids=["empty-class", "overlap", "uncovered", "no-classes"])
+    def test_bad_partition_rejected(self, k3, partition):
+        with pytest.raises(StructureError, match="cover every state"):
+            quotient_chain(k3, stationary_distribution(k3), partition)
 
 
 class TestAbsoluteSegments:
