@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: stationary, hitprob, metric, quotient, symmetrize, fiedler,
-generate, cluster, embed, verify.  Exit codes: 0 success,
-1 verification failure, 2 input/domain error or unreadable file,
-3 numerical failure.
+generate, cluster, embed, verify.  Exit codes: 0 success, 1 verification
+failure, 2 input/domain error or unreadable file (output files that the
+command created are removed again), 3 numerical failure.
 
 The BLAS thread count comes from the BLAS library's own environment
 variables (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS), set
@@ -16,11 +16,12 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, NumericalError, ParseError, StructureError
-from .files import write_column_csv, write_dense_csv, write_edge_csv, write_meta
+from .files import meta_path, write_column_csv, write_dense_csv, write_edge_csv, write_meta
 from .generators import (GeometricGraphSpec, GluedCyclesSpec, PlantedPartitionSpec,
                          gen_er_cycle, gen_geometric, gen_glued_cycles, gen_planted_partition,
                          gen_random_strongly_connected)
@@ -139,7 +140,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_symmetrize(args) -> int:
     tm = _load_chain(args)
-    phi = stationary_distribution(tm)
+    phi = stationary_distribution(tm) if args.method in ("chung", "hp") else None
     op = symmetrize(tm, phi, args.method, beta=args.beta)
     write_dense_csv(args.out, op.M, tm.labels)
     write_meta(args.out, "symmetrize",
@@ -151,7 +152,7 @@ def cmd_symmetrize(args) -> int:
 def cmd_fiedler(args) -> int:
     tm = _load_chain(args)
     labels = tm.labels
-    phi = stationary_distribution(tm)
+    phi = stationary_distribution(tm) if args.method in ("chung", "hp") else None
     op = symmetrize(tm, phi, args.method, beta=args.beta)
     del tm
     L = operator_laplacian(op)
@@ -291,8 +292,7 @@ def cmd_embed(args) -> int:
 
 def cmd_verify(args) -> int:
     if not args.input and not args.model:
-        print("verify needs --in or --model", file=sys.stderr)
-        return 2
+        raise InputError("verify needs --in or --model")
     try:
         betas = tuple(float(b) for b in args.beta.split(","))
     except ValueError:
@@ -333,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--similarity", help="also write the similarity matrix")
     p.add_argument("--tol-deg", type=float, default=TOL_DEG, dest="tol_deg")
-    p.set_defaults(func=cmd_metric)
+    p.set_defaults(func=cmd_metric, outputs=("out", "similarity"))
 
     p = sub.add_parser("quotient", help="collapse zero-distance classes")
     _add_input_flags(p)
     p.add_argument("--out", required=True, help="quotient chain as edge list")
     p.add_argument("--map", required=True, help="node,class CSV")
     p.add_argument("--tol-deg", type=float, default=TOL_DEG, dest="tol_deg")
-    p.set_defaults(func=cmd_quotient)
+    p.set_defaults(func=cmd_quotient, outputs=("out", "map"))
 
     p = sub.add_parser("symmetrize", help="symmetric operator for a chain")
     _add_input_flags(p)
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--domain", default="circle")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, outputs=("out", "truth", "coords"))
 
     p = sub.add_parser("cluster", help="cluster a chain and score against truth")
     _add_input_flags(p)
@@ -411,9 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.started = time.time()
+    outputs = [getattr(args, k, None) for k in getattr(args, "outputs", ("out",))]
+    new = [f for p in outputs if p for f in (Path(p), meta_path(p)) if not f.exists()]
     try:
         return args.func(args)
     except (InputError, StructureError, OSError) as exc:
+        for f in new:
+            f.unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -21,6 +21,7 @@ import scipy.linalg as la
 from .errors import InputError, NumericalError, SimulationDivergenceError
 from .graphs import TransitionMatrix, per_chain
 from .rng import stream
+from .stationary import fundamental_system
 
 STEP_CAP = 10_000_000
 
@@ -178,9 +179,7 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     same ``tm`` return the same result, whose ``Q`` is read-only.
     """
     n = tm.n
-    G = -tm.P
-    G += 1.0 / n
-    G.flat[:: n + 1] += 1.0
+    G = fundamental_system(tm)
     g_norm = la.norm(G, 1)
     try:
         with warnings.catch_warnings():

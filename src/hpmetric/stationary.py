@@ -6,6 +6,7 @@ periodic chains (e.g. directed cycles) are handled exactly.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,30 +27,31 @@ class StationaryDistribution:
     phi: np.ndarray
 
 
+def fundamental_system(tm: TransitionMatrix) -> np.ndarray:
+    """G = I - P + 11^T/n: nonsingular for an irreducible chain, periodic or not."""
+    G = np.subtract(1.0 / tm.n, tm.P)
+    G.flat[:: tm.n + 1] += 1.0
+    return G
+
+
 @per_chain
 def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
-    """Solve P^T phi = phi, sum(phi) = 1 by LU with partial pivoting.
-
-    The balance system has rank n-1 for an irreducible chain; the last
-    equation is replaced by the normalization constraint, which keeps the
-    system nonsingular regardless of periodicity.  Solved once per chain:
-    later calls on the same ``tm`` return the same result, whose ``phi`` is
-    read-only.
+    """Solve G^T phi = 1/n, G = ``fundamental_system(tm)``, by LU with
+    partial pivoting.  G 1 = 1, so phi sums to 1 and P^T phi = phi.  No
+    balance equation is replaced, so the accuracy does not hang on which
+    state is numbered last.  A singular or ill-conditioned G raises
+    ``NumericalError``.  Solved once per chain: later calls on the same
+    ``tm`` return the same result, whose ``phi`` is read-only.
     """
-    n = tm.n
-    # P^T - I and the normalization row, built in the one buffer that the
-    # solve then factors in place.  "gen" skips scipy's structure detection:
-    # from n = 3 it finds no structure in A, and at n = 2 its symmetric path
-    # (A is symmetric when P[1, 0] = 1) crashes when told to overwrite A in
-    # scipy 1.17.
-    A = tm.P.T.copy(order="F")
-    A.flat[:: n + 1] -= 1.0
-    A[n - 1, :] = 1.0
-    b = np.zeros(n)
-    b[n - 1] = 1.0
+    # G^T is an F-ordered view, which the solve factors in place.  "gen"
+    # keeps the LU: G is symmetric whenever P is, and scipy's structure
+    # detection would then pick another factorization.
     try:
-        phi = la.solve(A, b, overwrite_a=True, assume_a="gen")
-    except la.LinAlgError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", la.LinAlgWarning)
+            phi = la.solve(fundamental_system(tm).T, np.full(tm.n, 1.0 / tm.n),
+                           overwrite_a=True, assume_a="gen")
+    except (la.LinAlgError, la.LinAlgWarning) as exc:
         raise NumericalError(f"stationary solve failed: {exc}") from exc
 
     worst_negative = phi.min()

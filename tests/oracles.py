@@ -82,15 +82,13 @@ def _solve_exact(A, b) -> list:
 
 
 def oracle_stationary_lu(P: np.ndarray) -> np.ndarray:
-    """phi from P^T - I with its last row replaced by ones, solved by scipy on
-    a copy after its structure detection, then clamped and normalized as
+    """phi from G^T phi = 1/n with G = I - P + 11^T/n, solved by scipy out of
+    place on a copy of G, then clamped and normalized as
     ``stationary_distribution`` does."""
     n = P.shape[0]
-    A = P.T - np.eye(n)
-    A[n - 1, :] = 1.0
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    phi = np.maximum(la.solve(A, b), 1e-300)
+    G = np.subtract(1.0 / n, P)
+    G.flat[:: n + 1] += 1.0
+    phi = np.maximum(la.solve(G.T, np.full(n, 1.0 / n), assume_a="gen"), 1e-300)
     return phi / phi.sum()
 
 

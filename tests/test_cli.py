@@ -23,6 +23,7 @@ from hpmetric.metric import hp_distance, hp_similarity
 from hpmetric.spectral import symmetrize
 from hpmetric.stationary import stationary_distribution
 
+from conftest import two_k3_bridge
 from oracles import (oracle_read_dense_csv, oracle_write_column_csv, oracle_write_dense_csv,
                      oracle_write_edge_csv)
 
@@ -441,6 +442,15 @@ class TestSubcommands:
         out2 = tmp_path / "phi2.csv"
         assert main(["stationary", "--in", str(out), "--out", str(out2)]) == 0
 
+    def test_metric_on_er_cycle_500(self, tmp_path):
+        # The numbering-dependent phi of a replaced balance equation made Q and
+        # phi disagree by 1.6e-8 in the similarity here.
+        path = tmp_path / "er.csv"
+        assert main(["generate", "--model", "er-cycle", "--n-er", "500", "--n-cycle", "500",
+                     "--p", "0.05", "--w", "3.0", "--seed", "1", "--out", str(path)]) == 0
+        assert main(["metric", "--in", str(path), "--beta", "0.5",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+
     @pytest.mark.parametrize("method", ["additive", "max", "chung", "hp"])
     def test_symmetrize_writes_the_operator(self, method, glued_csv, tmp_path):
         out = tmp_path / "m.csv"
@@ -629,6 +639,54 @@ class TestVerifyAndExitCodes:
         assert lines[0].startswith("error: [Errno 2] No such file or directory")
         assert str(gone) in lines[0]
 
+    @pytest.mark.parametrize("command", ["metric", "quotient", "generate"])
+    def test_failed_command_leaves_no_new_file(self, command, glued_csv, tmp_path, capsys):
+        # The first output is written before the second fails to open.
+        gone = str(tmp_path / "gone" / "x.csv")
+        argv = {"metric": ["metric", "--in", str(glued_csv), "--beta", "0.5",
+                           "--out", str(tmp_path / "d.csv"), "--similarity", gone],
+                "quotient": ["quotient", "--in", str(glued_csv),
+                             "--out", str(tmp_path / "pq.csv"), "--map", gone],
+                "generate": ["generate", "--model", "planted", "--n", "30", "--p-in", "0.9",
+                             "--p-out", "0.1", "--out", str(tmp_path / "pp.csv"),
+                             "--truth", gone]}[command]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        assert sorted(tmp_path.iterdir()) == before
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+    def test_failed_command_keeps_files_it_did_not_create(self, glued_csv, tmp_path):
+        out = tmp_path / "d.csv"
+        out.write_text("before\n")
+        assert main(["metric", "--in", str(glued_csv), "--beta", "0.5", "--out", str(out),
+                     "--similarity", str(tmp_path / "gone" / "a.csv")]) == 2
+        assert out.exists()
+        assert not (tmp_path / "d.meta.json").exists()
+
+    @pytest.mark.parametrize("command", ["symmetrize", "fiedler"])
+    @pytest.mark.parametrize("method", ["additive", "max"])
+    def test_methods_that_read_no_phi_solve_none(self, command, method, glued_csv, tmp_path,
+                                                 monkeypatch):
+        argv = [command, "--in", str(glued_csv), "--method", method, "--out"]
+        assert main(argv + [str(tmp_path / "a.csv")]) == 0
+
+        def fail(tm):
+            raise NumericalError("stationary solve failed")
+
+        monkeypatch.setattr("hpmetric.cli.stationary_distribution", fail)
+        assert main(argv + [str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, method", [("symmetrize", "max"),
+                                                 ("fiedler", "additive")])
+    def test_methods_that_read_no_phi_on_a_chain_without_one(self, command, method,
+                                                             tmp_path):
+        # Two triangles joined by 1e-16: G is singular in floating point.
+        path = tmp_path / "bridge.csv"
+        write_edge_csv(path, make_digraph(two_k3_bridge(1e-16).P))
+        assert main([command, "--in", str(path), "--method", method,
+                     "--out", str(tmp_path / "m.csv")]) == 0
+
     def test_numerical_error_exit_3(self, glued_csv, tmp_path, capsys, monkeypatch):
         def fail(tm):
             raise NumericalError("singular")
@@ -682,7 +740,7 @@ class TestVerifyAndExitCodes:
         assert main(["verify", "--levels", "identity"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "verify needs --in or --model\n"
+        assert captured.err == "error: verify needs --in or --model\n"
 
     @pytest.mark.parametrize("bad_line, message", [
         (b"b2,x", "community must be an integer, got 'x'"),

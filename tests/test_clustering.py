@@ -100,6 +100,16 @@ class TestKmedoids:
         costs = D.sum(axis=0)
         assert costs[med] == costs.min()
 
+    def test_empty_cluster_is_reseeded(self):
+        # Two locations and three medoids: two medoids share a location, and
+        # the later one's cluster starts empty.
+        x = np.array([0.0] * 5 + [3.0] * 4)
+        D = np.abs(x[:, None] - x[None, :])
+        for seed in range(4):
+            labels = kmedoids(D, 3, restarts=2, seed=seed)
+            assert len(set(labels[:5])) == len(set(labels[5:])) == 1
+            assert labels[0] != labels[5]
+
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(InputError):
             kmedoids(np.zeros((2, 2)), 3, seed=0)

@@ -47,6 +47,12 @@ class TestSimilarity:
         np.fill_diagonal(expected, 1.0)
         assert np.abs(A - expected).max() <= 1e-10
 
+    def test_similarity_above_one_at_half_raises(self):
+        # A symmetric Q above 1 passes the asymmetry check, not this one.
+        phi = StationaryDistribution(phi=np.full(3, 1.0 / 3.0))
+        with pytest.raises(NumericalError, match="exceeds 1 by 5.000e-01"):
+            hp_similarity(1.5 * (1.0 - np.eye(3)), phi, 0.5)
+
     def test_symmetry_recorded_and_enforced(self):
         tm = random_chain(15, seed=8)
         phi, Q, _ = pipeline(tm)

@@ -3,12 +3,15 @@ import pickle
 import numpy as np
 import pytest
 
-from hpmetric.generators import gen_random_strongly_connected
-from hpmetric.graphs import make_digraph, row_normalize
-from hpmetric.hitting import hitting_fast
+from hpmetric import stationary
+from hpmetric.errors import NumericalError
+from hpmetric.generators import gen_er_cycle, gen_random_strongly_connected
+from hpmetric.graphs import TransitionMatrix, make_digraph, row_normalize
+from hpmetric.hitting import hitting_by_reduction, hitting_fast
+from hpmetric.metric import hp_similarity
 from hpmetric.stationary import stationary_distribution
 
-from conftest import directed_cycle, random_chain
+from conftest import directed_cycle, random_chain, two_k3_bridge
 from oracles import oracle_stationary_lu
 
 
@@ -55,6 +58,52 @@ def test_invariants_on_random_chains():
 def test_in_place_solve_keeps_the_bits(acceptance_suite):
     for tm in acceptance_suite:
         assert np.array_equal(stationary_distribution(tm).phi, oracle_stationary_lu(tm.P))
+
+
+def er_cycle_100():
+    return row_normalize(gen_er_cycle(100, 100, 0.05, 3.0, seed=1))
+
+
+def test_phi_does_not_depend_on_the_numbering():
+    # No state's equation may be singled out: a solve that replaced the last
+    # one moved phi by 4e-8 relative between numberings of this chain, enough
+    # for Q and phi to disagree in the similarity of one of them.
+    tm = er_cycle_100()
+    phi = stationary_distribution(tm).phi
+    hp_similarity(hitting_fast(tm), stationary_distribution(tm), 0.5)
+    for seed in range(10):
+        perm = np.random.default_rng(seed).permutation(tm.n)
+        relabeled = TransitionMatrix(tm.n, tm.P[np.ix_(perm, perm)])
+        got = stationary_distribution(relabeled)
+        assert np.abs(got.phi / phi[perm] - 1.0).max() <= 1e-8
+        hp_similarity(hitting_fast(relabeled), got, 0.5)
+
+
+def test_phi_agrees_with_state_reduction():
+    # phi_j / phi_0 = Q[0, j] / Q[j, 0], with Q from a method that uses no phi.
+    tm = er_cycle_100()
+    Q = hitting_by_reduction(tm)
+    ref = np.r_[1.0, Q[0, 1:] / Q[1:, 0]]
+    ref /= ref.sum()
+    assert np.abs(stationary_distribution(tm).phi / ref - 1.0).max() <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [1e-15, 1e-16, 1e-300])
+def test_nearly_reducible_chain_raises(eps):
+    # At 1e-15 the LU completes with rcond 2e-17: scipy's warning is an error.
+    with pytest.raises(NumericalError, match="stationary solve failed"):
+        stationary_distribution(two_k3_bridge(eps))
+
+
+@pytest.mark.parametrize("solution, message", [
+    (lambda n: np.r_[-1e-6, np.full(n - 1, 1.0 / (n - 1))], "negative mass"),
+    (lambda n: np.linspace(1.0, 2.0, n), "residual"),
+], ids=["negative", "residual"])
+def test_failed_solve_raises(monkeypatch, solution, message):
+    tm = random_chain(10, seed=1)
+    monkeypatch.setattr(stationary.la, "solve", lambda *args, **kwargs: solution(tm.n))
+    with pytest.raises(NumericalError, match=message):
+        stationary_distribution(tm)
 
 
 def test_scale_invariance():

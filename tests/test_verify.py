@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from hpmetric import hitting, quotient, verify
+from hpmetric.cli import main
 from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles
 from hpmetric.graphs import row_normalize
 from hpmetric.hitting import HittingProbabilities, hitting_fast
@@ -88,6 +91,20 @@ def test_identity_reduces_a_fallback_chain_once(monkeypatch):
     assert report["used_reference"] is True
     assert report["fast_vs_reference"]["value"] == 0.0
     assert calls == [6]
+
+
+def test_failing_check_fails_the_report_and_exits_1(monkeypatch, capsys):
+    real = verify.hitting_by_reduction
+
+    def perturbed(tm):
+        Q = real(tm).copy()
+        Q[0, 1] += 1e-6
+        return Q
+
+    monkeypatch.setattr(verify, "hitting_by_reduction", perturbed)
+    assert run_levels(random_chain(20, seed=2), ["identity"])["ok"] is False
+    assert main(["verify", "--model", "random", "--n", "20", "--levels", "identity"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 BETAS = (0.5, 0.75, 1.0)
