@@ -29,7 +29,7 @@ from .graphs import largest_scc, load_edge_list, make_digraph, numbered_lines, r
 from .hitting import hitting_by_reduction, hitting_fast, simulate_hit_before_return
 from .metric import TOL_DEG, degenerate_pairs, hp_distance, hp_similarity
 from .quotient import quotient_from_report
-from .spectral import fiedler_vector, operator_laplacian, symmetrize
+from .spectral import KINDS, fiedler_vector, operator_laplacian, symmetrize
 from .stationary import stationary_distribution
 from .verify import run_levels
 
@@ -67,15 +67,14 @@ def _add_model_flags(p, n_default):
     p.add_argument("--n", type=int, default=n_default)
 
 
-def cmd_stationary(args) -> int:
+def cmd_stationary(args) -> dict:
     tm = _load_chain(args)
     phi = stationary_distribution(tm)
     write_column_csv(args.out, tm.labels, {"phi": phi.phi})
-    write_meta(args.out, "stationary", {"input": args.input}, started=args.started)
-    return 0
+    return {"input": args.input}
 
 
-def cmd_hitprob(args) -> int:
+def cmd_hitprob(args) -> dict | int:
     tm = _load_chain(args)
     if args.mc:
         src, dst = args.mc
@@ -96,13 +95,10 @@ def cmd_hitprob(args) -> int:
         hp = hitting_fast(tm)
         Q, reference = hp.Q, hp.used_reference
     write_dense_csv(args.out, Q, tm.labels)
-    write_meta(args.out, "hitprob",
-               {"input": args.input, "path": "reference" if reference else "fast"},
-               started=args.started)
-    return 0
+    return {"input": args.input, "path": "reference" if reference else "fast"}
 
 
-def cmd_metric(args) -> int:
+def cmd_metric(args) -> dict:
     tm = _load_chain(args)
     labels = tm.labels
     phi = stationary_distribution(tm)
@@ -114,56 +110,42 @@ def cmd_metric(args) -> int:
     del tm, hp  # P, and the memo that also holds Q
     dist = hp_distance(sim, tol_deg=args.tol_deg)
     write_dense_csv(args.out, dist.D, labels)
-    params = {"input": args.input, "beta": args.beta, "tol_deg": args.tol_deg,
-              "is_pseudo": dist.is_pseudo}
-    write_meta(args.out, "metric", params, started=args.started)
     if args.similarity:
         write_dense_csv(args.similarity, sim.A, labels)
-        write_meta(args.similarity, "metric", params, started=args.started)
-    return 0
+    return {"input": args.input, "beta": args.beta, "tol_deg": args.tol_deg,
+            "is_pseudo": dist.is_pseudo}
 
 
-def cmd_quotient(args) -> int:
+def cmd_quotient(args) -> dict:
     tm = _load_chain(args)
     phi = stationary_distribution(tm)
     report = degenerate_pairs(hitting_fast(tm), phi, args.tol_deg)
     qc = quotient_from_report(tm, phi, report)
     write_edge_csv(args.out, make_digraph(qc.chain.P, qc.chain.labels))
-    write_meta(args.out, "quotient", {"input": args.input, "tol_deg": args.tol_deg,
-                                      "n_classes": len(qc.classes)}, started=args.started)
     with open(args.map, "w", encoding="utf-8") as fh:
         fh.write("node,class\n")
         for i, lab in enumerate(tm.labels):
             fh.write(f"{lab},{qc.chain.labels[qc.class_map[i]]}\n")
-    return 0
+    return {"input": args.input, "tol_deg": args.tol_deg, "n_classes": len(qc.classes)}
 
 
-def cmd_symmetrize(args) -> int:
+def cmd_symmetrize(args) -> dict:
     tm = _load_chain(args)
-    phi = stationary_distribution(tm) if args.method in ("chung", "hp") else None
-    op = symmetrize(tm, phi, args.method, beta=args.beta)
-    write_dense_csv(args.out, op.M, tm.labels)
-    write_meta(args.out, "symmetrize",
-               {"input": args.input, "method": args.method, "beta": args.beta},
-               started=args.started)
-    return 0
+    write_dense_csv(args.out, symmetrize(tm, None, args.method, beta=args.beta).M, tm.labels)
+    return {"input": args.input, "method": args.method, "beta": args.beta}
 
 
-def cmd_fiedler(args) -> int:
+def cmd_fiedler(args) -> dict:
     tm = _load_chain(args)
     labels = tm.labels
-    phi = stationary_distribution(tm) if args.method in ("chung", "hp") else None
-    op = symmetrize(tm, phi, args.method, beta=args.beta)
+    op = symmetrize(tm, None, args.method, beta=args.beta)
     del tm
     L = operator_laplacian(op)
     del op
     v, signs = fiedler_vector(L)
     sign_chars = ["-" if s < 0 else ("+" if s > 0 else "0") for s in signs]
     write_column_csv(args.out, labels, {"value": v, "sign": sign_chars})
-    write_meta(args.out, "fiedler",
-               {"input": args.input, "method": args.method, "beta": args.beta},
-               started=args.started)
-    return 0
+    return {"input": args.input, "method": args.method, "beta": args.beta}
 
 
 def _model(args):
@@ -202,16 +184,15 @@ def _model(args):
     return g, params, truth, coords
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple:
     g, params, truth, coords = _model(args)
     write_edge_csv(args.out, g)
-    write_meta(args.out, "generate", params, seed=args.seed, started=args.started)
     if truth is not None and args.truth:
         write_column_csv(args.truth, g.labels, {"community": [int(t) for t in truth]})
     if coords is not None and args.coords:
         cols = {ax: coords[:, a] for a, ax in zip(range(coords.shape[1]), "xyz")}
         write_column_csv(args.coords, g.labels, cols)
-    return 0
+    return params, args.seed
 
 
 def _distance_matrix(tm, which):
@@ -275,7 +256,7 @@ def _read_truth(path, labels):
     return [by_label[l] for l in labels]
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> dict:
     from .clustering import pca_embed  # deferred for the reason given in cmd_cluster
 
     tm = _load_chain(args)
@@ -283,16 +264,13 @@ def cmd_embed(args) -> int:
     coords, ratios = pca_embed(M, args.dims)
     cols = {f"pc{c + 1}": coords[:, c] for c in range(args.dims)}
     write_column_csv(args.out, tm.labels, cols)
-    write_meta(args.out, "embed",
-               {"input": args.input, "matrix": args.matrix, "dims": args.dims,
-                "explained_variance": [float(r) for r in ratios]},
-               started=args.started)
-    return 0
+    return {"input": args.input, "matrix": args.matrix, "dims": args.dims,
+            "explained_variance": [float(r) for r in ratios]}
 
 
 def cmd_verify(args) -> int:
-    if not args.input and not args.model:
-        raise InputError("verify needs --in or --model")
+    if bool(args.input) == bool(args.model):
+        raise InputError("verify needs exactly one of --in and --model")
     try:
         betas = tuple(float(b) for b in args.beta.split(","))
     except ValueError:
@@ -333,25 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--similarity", help="also write the similarity matrix")
     p.add_argument("--tol-deg", type=float, default=TOL_DEG, dest="tol_deg")
-    p.set_defaults(func=cmd_metric, outputs=("out", "similarity"))
+    p.set_defaults(func=cmd_metric, outputs=("out", "similarity"), sidecars=("out", "similarity"))
 
     p = sub.add_parser("quotient", help="collapse zero-distance classes")
     _add_input_flags(p)
     p.add_argument("--out", required=True, help="quotient chain as edge list")
     p.add_argument("--map", required=True, help="node,class CSV")
     p.add_argument("--tol-deg", type=float, default=TOL_DEG, dest="tol_deg")
-    p.set_defaults(func=cmd_quotient, outputs=("out", "map"))
+    p.set_defaults(func=cmd_quotient, outputs=("out", "map"), sidecars=("out",))
 
     p = sub.add_parser("symmetrize", help="symmetric operator for a chain")
     _add_input_flags(p)
-    p.add_argument("--method", choices=("additive", "max", "chung", "hp"), required=True)
+    p.add_argument("--method", choices=KINDS, required=True)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_symmetrize)
 
     p = sub.add_parser("fiedler", help="Fiedler vector of a symmetrized Laplacian")
     _add_input_flags(p)
-    p.add_argument("--method", choices=("additive", "max", "chung", "hp"), required=True)
+    p.add_argument("--method", choices=KINDS, required=True)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fiedler)
@@ -372,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--domain", default="circle")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.set_defaults(func=cmd_generate, outputs=("out", "truth", "coords"))
+    p.set_defaults(func=cmd_generate, outputs=("out", "truth", "coords"), sidecars=("out",))
 
     p = sub.add_parser("cluster", help="cluster a chain and score against truth")
     _add_input_flags(p)
@@ -410,11 +388,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.started = time.time()
+    started = time.time()
     outputs = [getattr(args, k, None) for k in getattr(args, "outputs", ("out",))]
     new = [f for p in outputs if p for f in (Path(p), meta_path(p)) if not f.exists()]
     try:
-        return args.func(args)
+        meta = args.func(args)
+        if isinstance(meta, int):  # a command that only prints returns its exit code
+            return meta
+        params, seed = meta if isinstance(meta, tuple) else (meta, None)
+        for key in getattr(args, "sidecars", ("out",)):
+            if getattr(args, key):
+                write_meta(getattr(args, key), args.command, params, seed=seed, started=started)
+        return 0
     except (InputError, StructureError, OSError) as exc:
         for f in new:
             f.unlink(missing_ok=True)

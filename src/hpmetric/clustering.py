@@ -20,12 +20,15 @@ def pca_embed(M: np.ndarray, dims: int):
 
     Columns are mean-centered and the SVD taken; each component's sign is
     fixed so its largest-magnitude loading is positive.  Returns the
-    coordinates (n x dims) and the explained-variance ratios.
+    coordinates (n x dims) and the explained-variance ratios.  Warns when two
+    adjacent singular values above the rank cutoff, among the kept ones and
+    the first dropped one, are within n u S_1 (u = 2^-53): the coordinates
+    are then an arbitrary rotation within the tied components' span.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    if dims > n:
-        raise InputError("dims cannot exceed the number of rows")
+    if not 1 <= dims <= n:
+        raise InputError(f"dims={dims} must lie between 1 and the number of rows, {n}")
     X = M - M.mean(axis=0, keepdims=True)
     U, S, Vt = np.linalg.svd(X, full_matrices=False)
     for c in range(S.shape[0]):
@@ -40,6 +43,10 @@ def pca_embed(M: np.ndarray, dims: int):
             RuntimeWarning,
             stacklevel=2,
         )
+    top = S[:min(dims + 1, rank)]
+    if np.any(top[:-1] - top[1:] < n * np.finfo(float).eps / 2 * S[0]):
+        warnings.warn("adjacent principal components nearly tie; the coordinates "
+                      "may be rotated within their span", RuntimeWarning, stacklevel=2)
     coords = np.zeros((n, dims))
     keep = min(dims, rank)
     coords[:, :keep] = U[:, :keep] * S[:keep]
@@ -62,8 +69,8 @@ def kmedoids(D: np.ndarray, k: int, restarts: int = 5, seed: int = 0) -> np.ndar
     """
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
-    if k > n:
-        raise InputError(f"k={k} exceeds n={n}")
+    if not (1 <= k <= n and restarts >= 1):
+        raise InputError(f"need 1 <= k <= n={n} and restarts >= 1, got k={k}, restarts={restarts}")
     best_labels = None
     best_cost = np.inf
     for r in range(restarts):
@@ -119,8 +126,8 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 5, seed: int = 0) -> np.n
     if X.ndim == 1:
         X = X[:, None]
     n = X.shape[0]
-    if k > n:
-        raise InputError(f"k={k} exceeds n={n}")
+    if not (1 <= k <= n and restarts >= 1):
+        raise InputError(f"need 1 <= k <= n={n} and restarts >= 1, got k={k}, restarts={restarts}")
     if not np.all(np.isfinite(X)):
         raise InputError("coordinates must be finite")
     best_labels = None

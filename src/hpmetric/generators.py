@@ -43,6 +43,8 @@ class PlantedPartitionSpec:
     def __post_init__(self):
         if not (0.0 <= self.p_out < self.p_in <= 1.0):
             raise InputError("need 0 <= p_out < p_in <= 1")
+        if self.k < 1:
+            raise InputError("k must be at least 1")
         if self.n % self.k:
             raise InputError("n must be divisible by k (balanced communities)")
 

@@ -29,7 +29,8 @@ ROW_SUM_TOL = 1e-12
 class WeightedDigraph:
     """Nonnegative weighted digraph with opaque node labels.
 
-    ``weights[i, j]`` is the weight of the edge i -> j (CSR sparse).
+    ``weights[i, j]`` is the weight of the edge i -> j (CSR sparse).  Stored
+    zeros are dropped here, so a zero weight is no edge anywhere downstream.
     """
 
     n: int
@@ -38,6 +39,7 @@ class WeightedDigraph:
 
     def __post_init__(self):
         w = self.weights
+        w.eliminate_zeros()
         if w.shape != (self.n, self.n):
             raise InputError(f"weight matrix shape {w.shape} does not match n={self.n}")
         if len(self.labels) != self.n:
@@ -55,7 +57,6 @@ class WeightedDigraph:
 def make_digraph(weights, labels=None) -> WeightedDigraph:
     """Build a WeightedDigraph from a dense or sparse weight matrix."""
     w = sp.csr_matrix(weights, dtype=float)
-    w.eliminate_zeros()
     n = w.shape[0]
     if labels is None:
         labels = [str(i) for i in range(n)]

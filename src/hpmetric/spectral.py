@@ -26,7 +26,7 @@ from .graphs import TransitionMatrix
 from .hitting import hitting_fast
 from .metric import hp_similarity
 from .rng import stream
-from .stationary import StationaryDistribution
+from .stationary import StationaryDistribution, stationary_distribution
 
 KINDS = ("additive", "max", "chung", "hp")
 
@@ -57,6 +57,7 @@ class SymmetricOperator:
 
 def symmetrize(tm: TransitionMatrix, phi: StationaryDistribution, kind: str,
                beta: float = None) -> SymmetricOperator:
+    """phi may be None: 'chung' and 'hp' then take stationary_distribution(tm)."""
     if kind not in KINDS:
         raise InputError(f"unknown symmetrization {kind!r}; choose from {KINDS}")
     P = tm.P
@@ -64,6 +65,7 @@ def symmetrize(tm: TransitionMatrix, phi: StationaryDistribution, kind: str,
         return SymmetricOperator(kind=kind, M=(P + P.T) / 2.0)
     if kind == "max":
         return SymmetricOperator(kind=kind, M=np.maximum(P, P.T))
+    phi = stationary_distribution(tm) if phi is None else phi
     if kind == "chung":
         # I - (T + T^T) / 2 with T = Phi^{1/2} P Phi^{-1/2}, in two n x n
         # buffers: T, then L.

@@ -14,6 +14,7 @@ import pytest
 import hpmetric
 from hpmetric import files
 from hpmetric.cli import build_parser, main
+from hpmetric.clustering import pca_embed
 from hpmetric.errors import NumericalError, ParseError
 from hpmetric.files import read_dense_csv, write_column_csv, write_dense_csv, write_edge_csv
 from hpmetric.generators import gen_random_strongly_connected
@@ -538,6 +539,62 @@ class TestSubcommands:
         assert len(meta["parameters"]["explained_variance"]) == 2
 
 
+TOL = {"tol_deg": 1e-9}
+SIDECARS = {
+    # argv after the command and its input, {output: sidecar parameters, or None
+    # for an output without a sidecar}, and the sidecar's seed
+    "stationary": (["--out", "phi.csv"], {"phi.csv": {}}, None),
+    "hitprob": (["--out", "q.csv"], {"q.csv": {"path": "fast"}}, None),
+    "metric": (["--beta", "0.5", "--out", "d.csv", "--similarity", "a.csv"],
+               {"d.csv": {"beta": 0.5, **TOL, "is_pseudo": True},
+                "a.csv": {"beta": 0.5, **TOL, "is_pseudo": True}}, None),
+    "quotient": (["--out", "pq.csv", "--map", "map.csv"],
+                 {"pq.csv": {**TOL, "n_classes": 3}, "map.csv": None}, None),
+    "symmetrize": (["--method", "hp", "--beta", "0.5", "--out", "m.csv"],
+                   {"m.csv": {"method": "hp", "beta": 0.5}}, None),
+    "fiedler": (["--method", "chung", "--out", "f.csv"],
+                {"f.csv": {"method": "chung", "beta": None}}, None),
+    "embed": (["--matrix", "d12", "--dims", "2", "--out", "xy.csv"],
+              {"xy.csv": {"matrix": "d12", "dims": 2}}, None),
+    "generate-planted": (
+        ["--model", "planted", "--n", "30", "--p-in", "0.9", "--p-out", "0.1", "--seed", "4",
+         "--out", "pp.csv", "--truth", "t.csv"],
+        {"pp.csv": {"model": "planted", "n": 30, "k": 3, "p_in": 0.9, "p_out": 0.1},
+         "t.csv": None}, 4),
+    "generate-geometric": (
+        ["--model", "geometric", "--n", "12", "--seed", "2", "--out", "geo.csv",
+         "--coords", "xy.csv"],
+        {"geo.csv": {"model": "geometric", "domain": "circle", "n": 12, "gamma": 1.0},
+         "xy.csv": None}, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(SIDECARS))
+def test_sidecars(case, glued_csv, tmp_path):
+    """Which outputs get a .meta.json sidecar, and what each one records."""
+    command = case.split("-")[0]
+    rest, outputs, seed = SIDECARS[case]
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(out / a) if a in outputs else a for a in rest]
+    if command != "generate":
+        argv = ["--in", str(glued_csv), *argv]
+    assert main([command, *argv]) == 0
+    with_meta = {name: params for name, params in outputs.items() if params is not None}
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        {*outputs, *(files.meta_path(name).name for name in with_meta)})
+    for name, params in with_meta.items():
+        meta = json.loads(files.meta_path(out / name).read_text())
+        if command != "generate":
+            params = {"input": str(glued_csv), **params}
+        if command == "embed":
+            tm = row_normalize(load_edge_list(glued_csv.read_bytes()))
+            D = hp_distance(hp_similarity(hitting_fast(tm), stationary_distribution(tm), 0.5)).D
+            params["explained_variance"] = [float(r) for r in pca_embed(D, 2)[1]]
+        assert (meta["command"], meta["parameters"], meta["seed"]) == (command, params, seed)
+        assert meta["version"] == hpmetric.__version__ and meta["elapsed_seconds"] >= 0
+
+
 class TestVerifyAndExitCodes:
     def test_verify_glued_passes(self, capsys):
         code = main(["verify", "--model", "glued", "--nb", "3", "--nc", "4",
@@ -595,12 +652,23 @@ class TestVerifyAndExitCodes:
         ["hitprob", "--in", "GLUED", "--mc", "b1", "b1"],
         ["hitprob", "--in", "GLUED", "--mc", "b1", "nowhere"],
         ["hitprob", "--in", "GLUED"],
+        ["verify", "--in", "GLUED", "--model", "glued", "--levels", "identity"],
+        ["cluster", "--in", "GLUED", "--method", "kmedoids-d12", "--k", "0"],
+        ["cluster", "--in", "GLUED", "--method", "pca-kmeans-d12", "--k", "0"],
+        ["cluster", "--in", "GLUED", "--method", "pca-kmeans-A", "--k", "2", "--restarts", "0"],
+        ["embed", "--in", "GLUED", "--matrix", "d12", "--dims", "-1", "--out", "OUT"],
+        ["embed", "--in", "GLUED", "--matrix", "d12", "--dims", "0", "--out", "OUT"],
+        ["generate", "--model", "planted", "--k", "0", "--p-in", "0.9", "--p-out", "0.1",
+         "--out", "OUT"],
     ], ids=["beta-abc", "beta-comma", "levels-bogus", "levels-partly-bogus", "levels-empty",
             "verify-walks-0", "hitprob-walks-0", "mc-same-label", "mc-unknown-label",
-            "hitprob-no-out"])
-    def test_input_errors_exit_2(self, argv, glued_csv, capsys):
-        argv = [str(glued_csv) if a == "GLUED" else a for a in argv]
+            "hitprob-no-out", "verify-in-and-model", "kmedoids-k-0", "pca-kmeans-k-0",
+            "restarts-0", "embed-dims-negative", "embed-dims-0", "planted-k-0"])
+    def test_input_errors_exit_2(self, argv, glued_csv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [{"GLUED": str(glued_csv), "OUT": str(out)}.get(a, a) for a in argv]
         assert main(argv) == 2
+        assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -674,6 +742,7 @@ class TestVerifyAndExitCodes:
             raise NumericalError("stationary solve failed")
 
         monkeypatch.setattr("hpmetric.cli.stationary_distribution", fail)
+        monkeypatch.setattr("hpmetric.spectral.stationary_distribution", fail)
         assert main(argv + [str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -728,6 +797,23 @@ class TestVerifyAndExitCodes:
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("fmt, text, labels", [
+        ("csv", "a,b,1\nb,a,1\nb,c,0\nc,a,1\nc,d,1\nd,c,1\n", ["a", "b"]),
+        ("matrix-market", "%%MatrixMarket matrix coordinate real general\n4 4 6\n"
+         "1 2 1\n2 1 1\n2 3 0\n3 1 1\n3 4 1\n4 3 1\n", ["1", "2"]),
+    ], ids=["csv", "matrix-market"])
+    def test_zero_weight_edge_is_no_edge(self, fmt, text, labels, tmp_path):
+        # Without the zero-weight b -> c there are two 2-state components;
+        # they tie on size and the one with the lower index is kept.
+        path = tmp_path / "z.txt"
+        path.write_text(text)
+        out = tmp_path / "phi.csv"
+        assert main(["stationary", "--in", str(path), "--format", fmt, "--scc",
+                     "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == labels
+        assert [float(r[1]) for r in rows] == [0.5, 0.5]
+
     def test_one_blas_thread_identical_output(self, glued_csv, tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=SRC)
         outs = [tmp_path / "qa.csv", tmp_path / "qb.csv"]
@@ -740,7 +826,7 @@ class TestVerifyAndExitCodes:
         assert main(["verify", "--levels", "identity"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: verify needs --in or --model\n"
+        assert captured.err == "error: verify needs exactly one of --in and --model\n"
 
     @pytest.mark.parametrize("bad_line, message", [
         (b"b2,x", "community must be an integer, got 'x'"),

@@ -4,6 +4,11 @@ import pytest
 from hpmetric.clustering import (empirical_p_value, kmeans, kmedoids, pca_embed,
                                  purity_accuracy)
 from hpmetric.errors import InputError
+from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles
+from hpmetric.graphs import row_normalize
+from hpmetric.hitting import hitting_fast
+from hpmetric.metric import hp_distance, hp_similarity
+from hpmetric.stationary import stationary_distribution
 
 from oracles import oracle_best_two_partition, oracle_one_median, oracle_purity
 
@@ -36,6 +41,19 @@ class TestPca:
         _, ratios = pca_embed(M, 5)
         assert all(ratios[i] >= ratios[i + 1] - 1e-15 for i in range(4))
 
+    def test_tied_components_warn(self):
+        # The glued chain's d^(1/2) has two singular values 2.5e-14 apart,
+        # below n u S_1 = 3.8e-13: the first two coordinates are any rotation.
+        tm = row_normalize(gen_glued_cycles(GluedCyclesSpec(5, 40, 3)))
+        D = hp_distance(hp_similarity(hitting_fast(tm), stationary_distribution(tm), 0.5)).D
+        with pytest.warns(RuntimeWarning, match="nearly tie"):
+            pca_embed(D, 2)
+
+    @pytest.mark.parametrize("dims", [-1, 0, 4])
+    def test_dims_out_of_range_rejected(self, dims):
+        with pytest.raises(InputError):
+            pca_embed(np.eye(3), dims)
+
 
 class TestKmeans:
     def test_two_separated_clouds(self):
@@ -62,6 +80,11 @@ class TestKmeans:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(InputError):
             kmeans(np.zeros((3, 2)), 4, seed=0)
+
+    @pytest.mark.parametrize("k, restarts", [(0, 5), (2, 0)])
+    def test_bad_counts_rejected(self, k, restarts):
+        with pytest.raises(InputError):
+            kmeans(np.eye(3), k, restarts=restarts, seed=0)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(5)
@@ -113,6 +136,11 @@ class TestKmedoids:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(InputError):
             kmedoids(np.zeros((2, 2)), 3, seed=0)
+
+    @pytest.mark.parametrize("k, restarts", [(0, 5), (2, 0)])
+    def test_bad_counts_rejected(self, k, restarts):
+        with pytest.raises(InputError):
+            kmedoids(1.0 - np.eye(3), k, restarts=restarts, seed=0)
 
 
 class TestPurity:

@@ -101,6 +101,10 @@ class TestPlantedPartition:
         with pytest.raises(InputError):
             PlantedPartitionSpec(10, 3, 0.5, 0.1)
 
+    def test_zero_communities_rejected(self):
+        with pytest.raises(InputError):
+            PlantedPartitionSpec(10, 0, 0.5, 0.1)
+
 
 class TestGeometric:
     def test_two_point_circle_weight(self):

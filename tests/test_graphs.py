@@ -215,6 +215,13 @@ class TestLargestScc:
         sub, _ = largest_scc(g)
         assert sub.labels == ["a", "b"]
 
+    def test_zero_weight_is_no_edge(self):
+        # Only the zero-weight b -> c joins the two 2-cycles into one component.
+        g = load_edge_list("a,b,1\nb,a,1\nb,c,0\nc,a,1\nc,d,1\nd,c,1\n")
+        assert g.weights.nnz == 5
+        sub, _ = largest_scc(g)
+        assert sub.labels == ["a", "b"]
+
     def test_idempotent(self):
         g = load_edge_list("a,b\nb,a\nb,c\nc,d\nd,c")
         once, _ = largest_scc(g)

@@ -110,6 +110,22 @@ class TestSymmetrize:
         with pytest.raises(InputError):
             symmetrize(glued_342, phi, "hp")
 
+    @pytest.mark.parametrize("kind", ["additive", "max"])
+    def test_kinds_that_read_no_phi_solve_none(self, kind, monkeypatch, glued_342):
+        want = symmetrize(glued_342, stationary_distribution(glued_342), kind).M
+
+        def fail(tm):
+            raise AssertionError("stationary_distribution called")
+
+        monkeypatch.setattr(spectral, "stationary_distribution", fail)
+        assert np.array_equal(symmetrize(glued_342, None, kind).M, want)
+
+    @pytest.mark.parametrize("kind", ["chung", "hp"])
+    def test_kinds_that_read_phi_solve_it_when_none(self, kind, glued_342):
+        got = symmetrize(glued_342, None, kind, beta=0.5).M
+        want = symmetrize(glued_342, stationary_distribution(glued_342), kind, beta=0.5).M
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 def random_adjacency(n, seed):
     rng = np.random.default_rng(seed)

@@ -1,7 +1,7 @@
 """The benchmark's tracer wraps hpmetric functions by name, its workloads call
 hpmetric by name and its worker reads result fields: every name must still
-resolve, or a benchmark run fails on a missing attribute.  The last test pins
-the command line's start-up imports."""
+resolve, or a benchmark run fails on a missing attribute.  The last two tests
+pin the command line: its one sidecar writer and its start-up imports."""
 
 import ast
 import importlib
@@ -133,6 +133,22 @@ def test_worker_binds_a_parameter(traced, key):
     mod, name = traced.split(".")
     fn = getattr(importlib.import_module(f"hpmetric.{mod}"), name)
     assert key in inspect.signature(fn).parameters
+
+
+CLI = Path(hpmetric.__file__).with_name("cli.py")
+
+
+def test_cli_writes_sidecars_only_in_main():
+    """``main`` writes every .meta.json sidecar and keeps the clock: no
+    command handler calls ``write_meta`` or reads ``args.started``."""
+    tree = ast.parse(CLI.read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    writers = [fn.name for fn in functions for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "write_meta"]
+    assert writers == ["main"]
+    assert not [fn.name for fn in functions if fn.name.startswith("cmd_")
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute) and node.attr == "started"]
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
