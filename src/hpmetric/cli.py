@@ -27,7 +27,7 @@ from .generators import (GeometricGraphSpec, GluedCyclesSpec, PlantedPartitionSp
                          gen_random_strongly_connected)
 from .graphs import largest_scc, load_edge_list, make_digraph, numbered_lines, row_normalize
 from .hitting import hitting_by_reduction, hitting_fast, simulate_hit_before_return
-from .metric import TOL_DEG, degenerate_pairs, hp_distance, hp_similarity
+from .metric import degenerate_pairs, hp_distance, hp_similarity
 from .quotient import quotient_from_report
 from .spectral import KINDS, fiedler_vector, operator_laplacian, symmetrize
 from .stationary import stationary_distribution
@@ -75,6 +75,8 @@ def cmd_stationary(args) -> dict:
 
 
 def cmd_hitprob(args) -> dict | int:
+    if bool(args.mc) == bool(args.out):
+        raise InputError("hitprob needs exactly one of --out and --mc I J")
     tm = _load_chain(args)
     if args.mc:
         src, dst = args.mc
@@ -87,8 +89,6 @@ def cmd_hitprob(args) -> dict | int:
                           "standard_error": se, "walks": args.walks,
                           "seed": args.seed}))
         return 0
-    if not args.out:
-        raise InputError("hitprob needs --out (or --mc I J)")
     if args.reference:
         Q, reference = hitting_by_reduction(tm), True
     else:
@@ -108,25 +108,24 @@ def cmd_metric(args) -> dict:
     # traced peak to 3.05 n x n, but in a process that repeats the command it
     # fragmented the heap and raised peak RSS by one n x n in half the runs.
     del tm, hp  # P, and the memo that also holds Q
-    dist = hp_distance(sim, tol_deg=args.tol_deg)
+    dist = hp_distance(sim)
     write_dense_csv(args.out, dist.D, labels)
     if args.similarity:
         write_dense_csv(args.similarity, sim.A, labels)
-    return {"input": args.input, "beta": args.beta, "tol_deg": args.tol_deg,
-            "is_pseudo": dist.is_pseudo}
+    return {"input": args.input, "beta": args.beta, "is_pseudo": dist.is_pseudo}
 
 
 def cmd_quotient(args) -> dict:
     tm = _load_chain(args)
     phi = stationary_distribution(tm)
-    report = degenerate_pairs(hitting_fast(tm), phi, args.tol_deg)
+    report = degenerate_pairs(hitting_fast(tm), phi)
     qc = quotient_from_report(tm, phi, report)
     write_edge_csv(args.out, make_digraph(qc.chain.P, qc.chain.labels))
     with open(args.map, "w", encoding="utf-8") as fh:
         fh.write("node,class\n")
         for i, lab in enumerate(tm.labels):
             fh.write(f"{lab},{qc.chain.labels[qc.class_map[i]]}\n")
-    return {"input": args.input, "tol_deg": args.tol_deg, "n_classes": len(qc.classes)}
+    return {"input": args.input, "n_classes": len(qc.classes)}
 
 
 def cmd_symmetrize(args) -> dict:
@@ -277,8 +276,7 @@ def cmd_verify(args) -> int:
         raise InputError(f"--beta must be comma-separated numbers, got {args.beta!r}") from None
     tm = _load_chain(args)
     levels = [l.strip() for l in args.levels.split(",") if l.strip()]
-    report = run_levels(tm, levels, walks=args.walks, seed=args.seed, betas=betas,
-                        tol_deg=args.tol_deg)
+    report = run_levels(tm, levels, walks=args.walks, seed=args.seed, betas=betas)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -310,14 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--similarity", help="also write the similarity matrix")
-    p.add_argument("--tol-deg", type=float, default=TOL_DEG, dest="tol_deg")
     p.set_defaults(func=cmd_metric, outputs=("out", "similarity"), sidecars=("out", "similarity"))
 
     p = sub.add_parser("quotient", help="collapse zero-distance classes")
     _add_input_flags(p)
     p.add_argument("--out", required=True, help="quotient chain as edge list")
     p.add_argument("--map", required=True, help="node,class CSV")
-    p.add_argument("--tol-deg", type=float, default=TOL_DEG, dest="tol_deg")
     p.set_defaults(func=cmd_quotient, outputs=("out", "map"), sidecars=("out",))
 
     p = sub.add_parser("symmetrize", help="symmetric operator for a chain")
@@ -380,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walks", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--beta", default="0.5,0.75,1.0")
-    p.add_argument("--tol-deg", type=float, default=TOL_DEG, dest="tol_deg")
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -40,7 +40,3 @@ class SimulationDivergenceError(NumericalError):
 
 class StructureError(HpMetricError):
     """Claimed degenerate structure fails structural validation."""
-
-
-class ToleranceError(StructureError):
-    """Tolerance-based class detection is internally inconsistent."""

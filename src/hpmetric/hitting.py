@@ -8,6 +8,11 @@ reduction builds all of Q from censored chains in O(n^3), sharing no step
 with the fast path: it takes over on ill-conditioned chains and serves as
 the cross-check.  A batched Monte Carlo walker is an independent statistical
 oracle.
+
+Q[i, j] = 1 exactly when every excursion from i passes through j, a fact of
+the support graph.  ``hitting_fast`` certifies it from the graph and writes
+exactly 1.0 there, so an off-diagonal pair has Q[i, j] = Q[j, i] = 1.0 iff it
+is degenerate (distance 0 at beta = 1/2).
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, NumericalError, SimulationDivergenceError
 from .graphs import TransitionMatrix, per_chain
@@ -29,14 +36,19 @@ STEP_CAP = 10_000_000
 # path is abandoned for state reduction.
 COND_LIMIT = 1e12
 
+# Columns holding a mutual pair Q_ij, Q_ji at or above this are certified
+# from the graph; a computed Q = 1 lies far closer to 1 than this.
+_CANDIDATE_CUT = 1.0 - 1e-6
+
 
 @dataclass(frozen=True)
 class HittingProbabilities:
     """Matrix of hit-before-return probabilities with zero diagonal.
 
-    ``used_reference`` is True when Q came from ``hitting_by_reduction``
-    (see ``hitting_fast``).  ``smw_fallbacks`` is always 0; the field stays
-    because perfbench reads it.
+    Off the diagonal, Q[i, j] = Q[j, i] = 1.0 exactly iff the pair (i, j) is
+    degenerate.  ``used_reference`` is True when Q came from
+    ``hitting_by_reduction`` (see ``hitting_fast``).  ``smw_fallbacks`` is
+    always 0; the field stays because perfbench reads it.
     """
 
     Q: np.ndarray
@@ -101,8 +113,9 @@ def _censor(C: np.ndarray, leaving: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def hitting_by_reduction(tm: TransitionMatrix) -> np.ndarray:
     """All of Q in O(n^3) by state reduction, without Z, phi or the
-    commute-time identity that ``hitting_fast`` uses.  Not memoized: it is
-    the cross-check, and ``hitting_fast`` memoizes it where it falls back.
+    commute-time identity that ``hitting_fast`` uses.  Not memoized and not
+    certified: it is the cross-check, and ``hitting_fast`` memoizes and
+    certifies it where it falls back.
 
     Q[i, j] is the i -> j entry of the chain censored to {i, j}: its
     stochastic complement (Meyer, *SIAM Review* 1989; state reduction as in
@@ -175,8 +188,9 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     singular or ill-conditioned inverse (``COND_LIMIT``, or scipy's
     ``LinAlgWarning``, whose rcond < eps lies far past it) hands the chain to
     ``hitting_by_reduction``, flagged ``used_reference``, at about 8 n x n of
-    scratch against 2 n x n here.  Solved once per chain: later calls on the
-    same ``tm`` return the same result, whose ``Q`` is read-only.
+    scratch against 2 n x n here.  On both paths ``_certify_ones`` then writes
+    exactly 1.0 where the graph proves Q = 1.  Solved once per chain: later
+    calls on the same ``tm`` return the same result, whose ``Q`` is read-only.
     """
     n = tm.n
     G = fundamental_system(tm)
@@ -192,6 +206,7 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     if Z is None or g_norm * la.norm(Z, 1) > COND_LIMIT:
         del Z
         Q = hitting_by_reduction(tm)
+        _certify_ones(tm, Q)
         Q.flags.writeable = False
         return HittingProbabilities(Q=Q, used_reference=True)
 
@@ -203,8 +218,44 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     np.fill_diagonal(Z, np.inf)
     Z *= phi[:, None]
     np.reciprocal(Z, out=Z)
+    _certify_ones(tm, Z)
     Z.flags.writeable = False
     return HittingProbabilities(Q=Z)
+
+
+def _certify_ones(tm: TransitionMatrix, Q: np.ndarray) -> None:
+    """In place: exactly 1.0 where the support graph proves Q[i, j] = 1, and
+    every other entry capped below 1, in each column j that holds a mutual
+    pair Q_ij, Q_ji >= ``_CANDIDATE_CUT``.
+
+    Q[i, j] = 1 iff i lies on no cycle once j's out-edges are cut: its strong
+    component there is {i}, and it has no self-loop.  The cut copies of the
+    support for a chunk of columns form one block-diagonal graph and one
+    strong-components pass.  Each copy's edges cost a few words of scratch,
+    so a chunk holds about n^2 / (4 (edges + n)) copies: one n x n float64.
+    """
+    near = Q >= _CANDIDATE_CUT
+    cols = np.flatnonzero((near & near.T).any(axis=0))
+    del near
+    if not cols.size:
+        return
+    n = tm.n
+    src, dst = np.nonzero(tm.P)
+    loops = np.diag(tm.P) > 0.0
+    chunk = max(1, n * n // (4 * (src.size + n)))
+    for c0 in range(0, cols.size, chunk):
+        js = cols[c0:c0 + chunk]
+        off = n * np.arange(js.size)[:, None]
+        kept = src != js[:, None]
+        copies = sp.coo_matrix((np.ones(np.count_nonzero(kept), dtype=bool),
+                                ((src + off)[kept], (dst + off)[kept])),
+                               shape=(js.size * n,) * 2)
+        del kept
+        _, comp = connected_components(copies, directed=True, connection="strong")
+        del copies
+        ones = (np.bincount(comp)[comp] == 1).reshape(js.size, n) & ~loops
+        ones[np.arange(js.size), js] = False
+        Q[:, js] = np.where(ones.T, 1.0, np.minimum(Q[:, js], np.nextafter(1.0, 0.0)))
 
 
 def _sampler(P: np.ndarray):

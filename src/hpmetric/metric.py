@@ -4,6 +4,8 @@ The similarity A[i, j] = phi_i^beta / phi_j^(1-beta) * Q[i, j] is symmetric
 by the detailed-balance identity Q[i, j] phi_i = Q[j, i] phi_j; the distance
 D = -log A is a metric for beta in (1/2, 1] and a pseudo-metric at
 beta = 1/2, where pairs with Q[i, j] = Q[j, i] = 1 collapse to distance 0.
+Those are exactly the pairs where ``hitting_fast`` writes Q = 1.0 in both
+directions, so degeneracy is read off Q by exact comparison.
 The triangle slack D[i, j] - D[i, k] - D[k, j] of d_beta is that of d_beta0
 plus 2 (beta - beta0) log phi_k, so one ``pivot_maxima`` sweep (worst slack
 per pivot k) checks every triple at every beta.
@@ -15,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, ToleranceError
+from .errors import InputError, NumericalError, StructureError
 from .graphs import strongly_connected_components
 from .hitting import HittingProbabilities
 from .stationary import StationaryDistribution
-
-TOL_DEG = 1e-9
 
 SYMMETRY_CONSISTENCY_TOL = 1e-8
 
@@ -63,7 +63,8 @@ def hp_similarity(Q, phi: StationaryDistribution, beta: float) -> HpSimilarity:
 
     The result is explicitly symmetrized as (A + A^T)/2; the asymmetry before
     symmetrization is recorded and must be tiny, otherwise Q and phi do not
-    come from the same chain.
+    come from the same chain.  At beta = 1/2, A is exactly 1 on the pairs
+    with Q[i, j] = Q[j, i] = 1.0, the degenerate ones.
     """
     if not 0.5 <= beta < np.inf:  # also false for NaN
         raise InputError(f"beta must be finite and >= 0.5, got {beta}")
@@ -90,6 +91,10 @@ def hp_similarity(Q, phi: StationaryDistribution, beta: float) -> HpSimilarity:
             upper[...] = d
             lower[...] = d
     asym = float(asym)
+    if beta == 0.5:
+        ones = Qm == 1.0
+        if ones.any():
+            A[ones & ones.T] = 1.0
     if asym > SYMMETRY_CONSISTENCY_TOL:
         raise NumericalError(
             f"similarity asymmetry {asym:.3e} exceeds {SYMMETRY_CONSISTENCY_TOL:.0e}; "
@@ -102,11 +107,10 @@ def hp_similarity(Q, phi: StationaryDistribution, beta: float) -> HpSimilarity:
     return HpSimilarity(beta=beta, A=A, asymmetry=asym)
 
 
-def hp_distance(sim: HpSimilarity, tol_deg: float = TOL_DEG) -> HpDistance:
+def hp_distance(sim: HpSimilarity) -> HpDistance:
     """D = -log A.  Entries equal to 1 map to exactly 0.
 
-    ``is_pseudo`` is set iff beta = 1/2 and some off-diagonal distance is
-    below ``tol_deg``.
+    ``is_pseudo`` is set iff beta = 1/2 and some off-diagonal distance is 0.
     """
     A = sim.A
     if A.min() <= 0.0:
@@ -116,11 +120,9 @@ def hp_distance(sim: HpSimilarity, tol_deg: float = TOL_DEG) -> HpDistance:
     D = np.log(A)
     np.negative(D, out=D)
     D += 0.0  # fold -0.0 into +0.0
-    is_pseudo = False
-    if sim.beta == 0.5 and A.shape[0] > 1:
-        np.fill_diagonal(D, np.inf)  # off-diagonal entries only
-        is_pseudo = bool((D < tol_deg).any())
     np.fill_diagonal(D, 0.0)
+    # A zero beyond the n on the diagonal lies off it.
+    is_pseudo = sim.beta == 0.5 and bool(np.count_nonzero(D == 0.0) > D.shape[0])
     return HpDistance(beta=sim.beta, D=D, is_pseudo=is_pseudo)
 
 
@@ -195,37 +197,37 @@ def verify_metric_axioms(dist: HpDistance, tol: float = 1e-9) -> dict:
     return axiom_report(D, worst_tri, tol)
 
 
-def degenerate_pairs(Q, phi: StationaryDistribution, tol_deg: float = TOL_DEG) -> DegeneracyReport:
+def degenerate_pairs(Q, phi: StationaryDistribution) -> DegeneracyReport:
     """Group states into equivalence classes of the zero-distance relation.
 
-    States i, j are related when Q[i, j] and Q[j, i] are both within
-    ``tol_deg`` of 1; classes are the transitive closure.  The closure is
-    re-validated: every within-class pair must satisfy the pair condition
-    within 10 * tol_deg, and the stationary mass must be constant within a
-    class, otherwise the grouping is a tolerance artifact.
+    States i, j are related when Q[i, j] = Q[j, i] = 1.0 exactly, which
+    ``hitting_fast`` certifies from the graph; classes are the transitive
+    closure.  For Q from ``hitting_fast`` the relation is transitive and
+    phi is constant on each class, both by theorem.  The closure is checked
+    all the same, since Q may be built by hand: a within-class pair with
+    Q != 1 is a ``StructureError``, and a stationary mass that varies inside
+    a class by more than 1e-8 relative is a ``NumericalError`` (phi is
+    inaccurate).
     """
     Qm = _q_matrix(Q)
-    both = np.minimum(Qm, Qm.T)
-    # both is symmetric, so its strong components are the connected ones.
-    classes = sorted(strongly_connected_components(both >= 1.0 - tol_deg),
-                     key=lambda c: c[0])
+    ones = Qm == 1.0
+    # The relation is symmetric, so its strong components are the connected ones.
+    classes = sorted(strongly_connected_components(ones & ones.T), key=lambda c: c[0])
 
     p = phi.phi
     for cls in classes:
         if len(cls) == 1:
             continue
-        sub = both[np.ix_(cls, cls)].copy()
+        sub = Qm[np.ix_(cls, cls)].copy()
         np.fill_diagonal(sub, 1.0)
-        if sub.min() < 1.0 - 10.0 * tol_deg:
-            raise ToleranceError(
-                "transitive closure is inconsistent at this tolerance; "
-                "retry with a smaller tol_deg"
-            )
+        if not (sub == 1.0).all():
+            raise StructureError("degenerate pairs are not transitive: "
+                                 "some pair inside a class has Q != 1")
         spread = float(p[cls].max() - p[cls].min())
         if spread > 1e-8 * float(p[cls].max()):
-            raise ToleranceError(
+            raise NumericalError(
                 f"stationary mass varies by {spread:.3e} inside a degenerate "
-                "class; retry with a smaller tol_deg"
+                "class; phi is inaccurate"
             )
 
     degenerate = any(len(c) > 1 for c in classes)

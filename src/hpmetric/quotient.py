@@ -179,15 +179,6 @@ def _segment_ids(codes: np.ndarray) -> np.ndarray:
     return np.unique(codes, axis=0, return_inverse=True)[1].ravel()
 
 
-def absolute_segments(tm: TransitionMatrix, labelings: list) -> list:
-    """Group nodes by their segment position with respect to every
-    non-singleton class.  With no labelings, all nodes share one segment."""
-    ids = _segment_ids(_codes(tm.n, labelings))
-    order = np.argsort(ids, kind="stable")
-    cuts = np.flatnonzero(np.diff(ids[order])) + 1
-    return sorted((g.tolist() for g in np.split(order, cuts)), key=lambda g: g[0])
-
-
 def check_quotient_bounds(dist, dist_prime, quotient: QuotientChain,
                           labelings: list, tol: float = 1e-9) -> dict:
     """Verify the distance relations between a chain and its quotient.

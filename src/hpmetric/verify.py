@@ -21,8 +21,8 @@ from .errors import InputError
 from .graphs import ROW_SUM_TOL, TransitionMatrix
 from .hitting import (hitting_by_reduction, hitting_fast, simulate_hit_before_return,
                       simulate_visit_counts)
-from .metric import (TOL_DEG, axiom_report, degenerate_pairs, hp_distance, hp_similarity,
-                     pivot_maxima, repeated_index_slack)
+from .metric import (axiom_report, degenerate_pairs, hp_distance, hp_similarity, pivot_maxima,
+                     repeated_index_slack)
 from .quotient import check_quotient_bounds, quotient_from_report, segments
 from .rng import stream
 from .stationary import RESIDUAL_TOL, stationary_distribution
@@ -105,18 +105,18 @@ def level_metric(tm: TransitionMatrix, betas=(0.5, 0.75, 1.0)) -> dict:
     return {f"beta={beta:g}": out[beta] for beta in betas}
 
 
-def level_quotient(tm: TransitionMatrix, tol_deg: float = TOL_DEG) -> dict:
+def level_quotient(tm: TransitionMatrix) -> dict:
     phi = stationary_distribution(tm)
     Q = hitting_fast(tm)
     dist = hp_distance(hp_similarity(Q, phi, 0.5))
-    report = degenerate_pairs(Q, phi, tol_deg)
+    report = degenerate_pairs(Q, phi)
     qc = quotient_from_report(tm, phi, report)
     phi_p = stationary_distribution(qc.chain)
     Q_p = hitting_fast(qc.chain)
     dist_p = hp_distance(hp_similarity(Q_p, phi_p, 0.5))
 
     phi_err = float(np.abs(phi_p.phi - qc.phi_prime).max())
-    rep_p = degenerate_pairs(Q_p, phi_p, tol_deg)
+    rep_p = degenerate_pairs(Q_p, phi_p)
     labelings = [segments(tm, cls) for cls in qc.orders]
     bounds = check_quotient_bounds(dist, dist_p, qc, labelings, tol=QUOTIENT_TOL)
     return {
@@ -190,10 +190,10 @@ def _collect_ok(node) -> bool:
 
 
 def run_levels(tm: TransitionMatrix, levels, walks: int = 20000, seed: int = 0,
-               betas=(0.5, 0.75, 1.0), tol_deg: float = TOL_DEG) -> dict:
+               betas=(0.5, 0.75, 1.0)) -> dict:
     run = {"identity": lambda: level_identity(tm),
            "metric": lambda: level_metric(tm, betas),
-           "quotient": lambda: level_quotient(tm, tol_deg),
+           "quotient": lambda: level_quotient(tm),
            "oracle": lambda: level_oracle(tm, walks=walks, seed=seed)}
     if not levels or not set(levels) <= run.keys():
         raise InputError(f"verification levels must be some of {', '.join(LEVELS)}, "

@@ -230,14 +230,6 @@ def _segment_signature(node: int, labelings: list) -> tuple:
     return tuple(sig)
 
 
-def oracle_absolute_segments(n: int, labelings: list) -> list:
-    """hpmetric.quotient.absolute_segments by per-node signature tuples."""
-    groups = {}
-    for node in range(n):
-        groups.setdefault(_segment_signature(node, labelings), []).append(node)
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
 def oracle_quotient_bounds(dist, dist_prime, quotient, labelings: list,
                               tol: float = 1e-9) -> dict:
     """hpmetric.quotient.check_quotient_bounds by a loop over pairs i < j."""
@@ -320,12 +312,16 @@ def oracle_quotient_chain(tm, phi, partition) -> QuotientChain:
 
 def oracle_hp_similarity(Q: np.ndarray, phi: np.ndarray, beta: float):
     """(A, asymmetry): A_ij = phi_i^beta phi_j^(beta - 1) Q_ij with a unit
-    diagonal, its max |A - A^T|, and then (A + A^T) / 2."""
+    diagonal, its max |A - A^T|, and then (A + A^T) / 2, set to exactly 1 at
+    beta = 1/2 where Q_ij = Q_ji = 1."""
     A = np.multiply.outer(phi**beta, phi ** (beta - 1.0))
     A *= Q
     np.fill_diagonal(A, 1.0)
     asym = float(np.abs(A - A.T).max())
-    return (A + A.T) / 2.0, asym
+    A = (A + A.T) / 2.0
+    if beta == 0.5:
+        A[(Q == 1.0) & (Q.T == 1.0)] = 1.0
+    return A, asym
 
 
 def oracle_chung_laplacian(P: np.ndarray, phi: np.ndarray) -> np.ndarray:

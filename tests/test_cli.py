@@ -452,6 +452,27 @@ class TestSubcommands:
         assert main(["metric", "--in", str(path), "--beta", "0.5",
                      "--out", str(tmp_path / "d.csv")]) == 0
 
+    def test_metric_on_glued_200_600_3(self, tmp_path):
+        # Its Q = 1 entries came out up to 7.8e-12 from 1, and A then exceeded
+        # 1 by 3.8e-12; certified, they are exactly 1.0.
+        path = tmp_path / "glued.csv"
+        assert main(["generate", "--model", "glued", "--nb", "200", "--nc", "600",
+                     "--C", "3", "--out", str(path)]) == 0
+        assert main(["metric", "--in", str(path), "--beta", "0.5",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+        meta = json.loads((tmp_path / "d.meta.json").read_text())
+        assert meta["parameters"]["is_pseudo"] is True
+
+    @pytest.mark.parametrize("eps", ["1e-10", "1e-12"])
+    def test_quotient_light_chord(self, eps, tmp_path, capsys):
+        # The chord 0 -> 2 splits 1 from the cycle: classes {0, 2} and {1}.
+        path, out, mp = tmp_path / "g.csv", tmp_path / "pq.csv", tmp_path / "map.csv"
+        path.write_text(f"0,1,1\n1,2,1\n2,0,1\n0,2,{eps}\n")
+        assert main(["quotient", "--in", str(path), "--out", str(out), "--map", str(mp)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = dict(l.split(",") for l in mp.read_text().splitlines()[1:])
+        assert rows["0"] == rows["2"] != rows["1"]
+
     @pytest.mark.parametrize("method", ["additive", "max", "chung", "hp"])
     def test_symmetrize_writes_the_operator(self, method, glued_csv, tmp_path):
         out = tmp_path / "m.csv"
@@ -539,17 +560,16 @@ class TestSubcommands:
         assert len(meta["parameters"]["explained_variance"]) == 2
 
 
-TOL = {"tol_deg": 1e-9}
 SIDECARS = {
     # argv after the command and its input, {output: sidecar parameters, or None
     # for an output without a sidecar}, and the sidecar's seed
     "stationary": (["--out", "phi.csv"], {"phi.csv": {}}, None),
     "hitprob": (["--out", "q.csv"], {"q.csv": {"path": "fast"}}, None),
     "metric": (["--beta", "0.5", "--out", "d.csv", "--similarity", "a.csv"],
-               {"d.csv": {"beta": 0.5, **TOL, "is_pseudo": True},
-                "a.csv": {"beta": 0.5, **TOL, "is_pseudo": True}}, None),
+               {"d.csv": {"beta": 0.5, "is_pseudo": True},
+                "a.csv": {"beta": 0.5, "is_pseudo": True}}, None),
     "quotient": (["--out", "pq.csv", "--map", "map.csv"],
-                 {"pq.csv": {**TOL, "n_classes": 3}, "map.csv": None}, None),
+                 {"pq.csv": {"n_classes": 3}, "map.csv": None}, None),
     "symmetrize": (["--method", "hp", "--beta", "0.5", "--out", "m.csv"],
                    {"m.csv": {"method": "hp", "beta": 0.5}}, None),
     "fiedler": (["--method", "chung", "--out", "f.csv"],
@@ -652,6 +672,7 @@ class TestVerifyAndExitCodes:
         ["hitprob", "--in", "GLUED", "--mc", "b1", "b1"],
         ["hitprob", "--in", "GLUED", "--mc", "b1", "nowhere"],
         ["hitprob", "--in", "GLUED"],
+        ["hitprob", "--in", "GLUED", "--mc", "b1", "c1_1", "--out", "OUT"],
         ["verify", "--in", "GLUED", "--model", "glued", "--levels", "identity"],
         ["cluster", "--in", "GLUED", "--method", "kmedoids-d12", "--k", "0"],
         ["cluster", "--in", "GLUED", "--method", "pca-kmeans-d12", "--k", "0"],
@@ -662,7 +683,7 @@ class TestVerifyAndExitCodes:
          "--out", "OUT"],
     ], ids=["beta-abc", "beta-comma", "levels-bogus", "levels-partly-bogus", "levels-empty",
             "verify-walks-0", "hitprob-walks-0", "mc-same-label", "mc-unknown-label",
-            "hitprob-no-out", "verify-in-and-model", "kmedoids-k-0", "pca-kmeans-k-0",
+            "hitprob-no-out", "hitprob-mc-and-out", "verify-in-and-model", "kmedoids-k-0", "pca-kmeans-k-0",
             "restarts-0", "embed-dims-negative", "embed-dims-0", "planted-k-0"])
     def test_input_errors_exit_2(self, argv, glued_csv, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -887,7 +908,7 @@ PARSER_FLAGS = {
         **{flag: (default, None, False) for flag, default in MODEL_FLAGS.items()},
         "--n": (50, None, False), "--levels": ("identity,metric", None, False),
         "--walks": (20000, None, False), "--seed": (0, None, False),
-        "--beta": ("0.5,0.75,1.0", None, False), "--tol-deg": (1e-9, None, False),
+        "--beta": ("0.5,0.75,1.0", None, False),
     },
 }
 

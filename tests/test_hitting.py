@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hpmetric.errors import NumericalError, SimulationDivergenceError
 from hpmetric.generators import gen_random_strongly_connected
-from hpmetric.graphs import make_digraph, row_normalize
+from hpmetric.graphs import largest_scc, make_digraph, row_normalize
 from hpmetric.hitting import (hitting_by_reduction, hitting_fast, hitting_reference,
                               simulate_hit_before_return, simulate_visit_counts)
 from hpmetric.metric import degenerate_pairs
@@ -67,19 +67,32 @@ class TestFast:
         assert not fast.used_reference
         assert np.abs(fast.Q - stack_reference(tm)).max() <= 1e-8
 
-    @pytest.mark.parametrize("n,atol", [(7, 1e-12), (2000, 1e-10)])
-    def test_directed_cycle(self, n, atol):
-        # Every Q = 1 entry comes out of the cancellation Z_jj - Z_ij; on a
-        # long cycle it must stay inside TOL_DEG so the whole cycle is one
-        # degeneracy class.
+    @pytest.mark.parametrize("n", [7, 2000])
+    def test_directed_cycle(self, n):
         tm = directed_cycle(n)
         result = hitting_fast(tm)
         assert not result.used_reference
         Q = result.Q
         off = ~np.eye(n, dtype=bool)
-        assert np.allclose(Q[off], 1.0, atol=atol)
-        assert np.allclose(np.diag(Q), 0.0)
+        assert (Q[off] == 1.0).all()
+        assert (np.diag(Q) == 0.0).all()
         assert len(degenerate_pairs(result, stationary_distribution(tm)).classes) == 1
+
+    @pytest.mark.parametrize("eps", [1e-13, 1e-14])
+    def test_fallback_certified(self, eps):
+        # A directed triangle bridged to a K3: the reduction takes over, and
+        # its pair (1, 2), which the triangle passes in series, reads exactly 1.
+        W = np.zeros((6, 6))
+        W[0, 1] = W[1, 2] = W[2, 0] = 1.0
+        W[3:, 3:] = 1.0 - np.eye(3)
+        W[0, 3] = W[3, 0] = eps
+        tm = row_normalize(make_digraph(W))
+        result = hitting_fast(tm)
+        assert result.used_reference
+        assert result.Q[1, 2] == result.Q[2, 1] == 1.0
+        assert result.Q[0, 1] < 1.0
+        classes = degenerate_pairs(result, stationary_distribution(tm)).classes
+        assert classes == [[0], [1, 2], [3], [4], [5]]
 
     def test_detailed_balance_n50(self):
         tm = random_chain(50, seed=9)
@@ -239,6 +252,31 @@ class TestReduction:
             cond = max(cond, np.linalg.cond(M, 1))
         loop = max(relative_error(stack_reference(tm), exact), np.finfo(float).eps / 2 * cond)
         assert relative_error(hitting_by_reduction(tm), exact) <= 10.0 * loop
+
+
+class TestCertifiedOnes:
+    @given(n=st.integers(2, 7), weights=st.lists(st.integers(-6, 3), min_size=49, max_size=49),
+           self_loops=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_against_exact_oracle(self, n, weights, self_loops):
+        # Integer weights 1-3 on about 30 % of the pairs.  The oracle takes P's
+        # float values, whose rows can sum to 1 - 1 ulp (three thirds), so a
+        # true Q = 1 reads down to 1 - 2.2e-15 there.
+        W = np.maximum(np.reshape(weights[: n * n], (n, n)), 0).astype(float)
+        if not self_loops:
+            np.fill_diagonal(W, 0.0)
+        g, _ = largest_scc(make_digraph(W))
+        assume(g.n >= 2)
+        tm = row_normalize(g)
+        Q = hitting_fast(tm).Q
+        one = np.abs(exact_hitting_matrix(tm.P) - 1.0) <= 1e-12
+        off = ~np.eye(tm.n, dtype=bool)
+        degenerate = one & one.T & off
+        assert np.array_equal((Q == 1.0) & (Q.T == 1.0) & off, degenerate)
+        assert not ((Q == 1.0) & ~one).any()
+        # Every column holding a degenerate pair is certified whole.
+        cols = degenerate.any(axis=0)
+        assert np.array_equal((Q == 1.0)[:, cols], (one & off)[:, cols])
 
 
 def singular(M, *args, **kwargs):

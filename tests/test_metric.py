@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hpmetric.errors import InputError, NumericalError, ToleranceError
+from hpmetric.errors import InputError, NumericalError, StructureError
+from hpmetric.graphs import make_digraph, row_normalize
 from hpmetric.hitting import hitting_fast
 from hpmetric.metric import (HpDistance, HpSimilarity, degenerate_pairs, hp_distance,
                              hp_similarity, verify_metric_axioms)
@@ -280,5 +281,23 @@ class TestDegeneracy:
             [0.2, 1.0, 0.0],
         ])
         phi = StationaryDistribution(phi=np.full(3, 1 / 3))
-        with pytest.raises(ToleranceError):
-            degenerate_pairs(Q, phi, tol_deg=1e-9)
+        with pytest.raises(StructureError):
+            degenerate_pairs(Q, phi)
+
+    def test_phi_spread_in_a_class_is_numerical(self):
+        Q = np.array([[0.0, 1.0], [1.0, 0.0]])
+        phi = StationaryDistribution(phi=np.array([0.5 - 1e-6, 0.5 + 1e-6]))
+        with pytest.raises(NumericalError, match="phi is inaccurate"):
+            degenerate_pairs(Q, phi)
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-12])
+    def test_light_chord_splits_the_cycle(self, eps):
+        # 0 -> 2 -> 0 returns to 0 without visiting 1, so Q[0, 1] = 1 - O(eps)
+        # and 1 is a class of its own; every return to 0 or 2 passes the other.
+        W = np.zeros((3, 3))
+        W[0, 1] = W[1, 2] = W[2, 0] = 1.0
+        W[0, 2] = eps
+        phi, Q, dist = pipeline(row_normalize(make_digraph(W)))
+        assert degenerate_pairs(Q, phi).classes == [[0, 2], [1]]
+        assert Q.Q[0, 1] < 1.0 and Q.Q[2, 1] < 1.0
+        assert dist.D[0, 2] == 0.0 and dist.D[0, 1] > 0.0

@@ -11,15 +11,14 @@ from hpmetric.generators import GluedCyclesSpec, gen_er_cycle, gen_glued_cycles
 from hpmetric.graphs import largest_scc, make_digraph, row_normalize
 from hpmetric.hitting import hitting_fast
 from hpmetric.metric import degenerate_pairs, hp_distance, hp_similarity
-from hpmetric.quotient import (OrderedClass, absolute_segments, check_quotient_bounds,
-                               order_class, quotient_chain, quotient_from_report,
-                               segments)
+from hpmetric.quotient import (OrderedClass, check_quotient_bounds, order_class, quotient_chain,
+                               quotient_from_report, segments)
 from hpmetric.rng import stream
 from hpmetric.stationary import StationaryDistribution, stationary_distribution
 
 from conftest import directed_cycle, pipeline, random_chain
-from oracles import (oracle_absolute_segments, oracle_order_class, oracle_quotient_bounds,
-                     oracle_quotient_chain, oracle_segments)
+from oracles import (oracle_order_class, oracle_quotient_bounds, oracle_quotient_chain,
+                     oracle_segments)
 
 
 def collapse_gadget():
@@ -205,24 +204,6 @@ class TestQuotientOracle:
             quotient_chain(k3, stationary_distribution(k3), partition)
 
 
-class TestAbsoluteSegments:
-    def test_no_classes_single_segment(self, k3):
-        assert absolute_segments(k3, []) == [[0, 1, 2]]
-
-    def test_single_class_equals_segments(self):
-        tm, idx = collapse_gadget()
-        seg = segments(tm, order_class(tm, [idx["a"], idx["b"]]))
-        groups = absolute_segments(tm, [seg])
-        assert [idx["i"]] in groups
-        assert [idx["j"]] in groups
-
-    def test_glued_branches_distinct(self, glued_342):
-        phi, Q, dist, report, qc, labelings = degeneracy_pipeline(glued_342)
-        groups = absolute_segments(glued_342, labelings)
-        # every node is degenerate, so every absolute segment is a singleton
-        assert all(len(g) == 1 for g in groups)
-
-
 class TestBounds:
     def test_identity_quotient_is_exact(self, k3):
         phi, Q, dist, report, qc, labelings = degeneracy_pipeline(k3)
@@ -372,7 +353,6 @@ class TestAgainstOracles:
     def test_quotient_bounds(self, name, scale, tol):
         tm = ORACLE_CHAINS[name]()
         phi, Q, dist, report, qc, labelings = degeneracy_pipeline(tm)
-        assert absolute_segments(tm, labelings) == oracle_absolute_segments(tm.n, labelings)
         dist_p = SimpleNamespace(D=SCALES[scale](pipeline(qc.chain)[2].D))
         got = check_quotient_bounds(dist, dist_p, qc, labelings, tol)
         want = oracle_quotient_bounds(dist, dist_p, qc, labelings, tol)

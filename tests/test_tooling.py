@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps hpmetric functions by name, its workloads call
 hpmetric by name and its worker reads result fields: every name must still
-resolve, or a benchmark run fails on a missing attribute.  The last two tests
+resolve, and every workload call must bind to its callee's signature, or a
+benchmark run fails on a missing attribute or argument.  The last two tests
 pin the command line: its one sidecar writer and its start-up imports."""
 
 import ast
@@ -52,29 +53,63 @@ WORKLOADS = TRACER.with_name("workloads.py")
 WORKER = TRACER.with_name("worker.py")
 
 
+WORKLOAD_TREE = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+
+
+def workload_imports() -> tuple:
+    """The hpmetric modules the workloads import, and {local name: (module,
+    name)} for the names they import from its submodules."""
+    modules, names = set(), {}
+    for node in ast.walk(WORKLOAD_TREE):
+        if isinstance(node, ast.ImportFrom) and node.module == "hpmetric":
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hpmetric."):
+            names.update({alias.asname or alias.name: (node.module.split(".", 1)[1], alias.name)
+                          for alias in node.names})
+    return modules, names
+
+
 def workload_names() -> list:
     """Every ``<module>.<name>`` the workloads read from an hpmetric module:
     attributes of the modules they import from ``hpmetric``, and the names
     they import from its submodules."""
-    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
-    modules, names = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "hpmetric":
-            modules.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hpmetric."):
-            names.update((node.module.split(".", 1)[1], alias.name) for alias in node.names)
-    for node in ast.walk(tree):
+    modules, imported = workload_imports()
+    names = set(imported.values())
+    for node in ast.walk(WORKLOAD_TREE):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules):
             names.add((node.value.id, node.attr))
     return sorted(names)
 
 
+def workload_calls() -> dict:
+    """{(module, name): [call, ...]} for every call the workloads make into
+    hpmetric, through an imported module or an imported name."""
+    modules, imported = workload_imports()
+    calls = {}
+    for node in ast.walk(WORKLOAD_TREE):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in modules):
+            calls.setdefault((func.value.id, func.attr), []).append(node)
+        elif isinstance(func, ast.Name) and func.id in imported:
+            calls.setdefault(imported[func.id], []).append(node)
+    return dict(sorted(calls.items()))
+
+
 WORKLOAD_NAMES = workload_names()
+WORKLOAD_CALLS = workload_calls()
 
 
 def test_workload_names_found():
     assert ("hitting", "hitting_reference") in WORKLOAD_NAMES
+
+
+def test_workload_calls_found():
+    assert {("metric", "degenerate_pairs"), ("metric", "hp_distance"), ("cli", "main"),
+            ("rng", "stream")} <= WORKLOAD_CALLS.keys()
 
 
 @pytest.mark.parametrize("mod, name", WORKLOAD_NAMES,
@@ -82,6 +117,21 @@ def test_workload_names_found():
 def test_workload_name_resolves(mod, name):
     module = importlib.import_module(f"hpmetric.{mod}")
     assert hasattr(module, name)
+
+
+@pytest.mark.parametrize("mod, name", WORKLOAD_CALLS,
+                         ids=[f"{m}.{n}" for m, n in WORKLOAD_CALLS])
+def test_workload_calls_bind(mod, name):
+    """Each call's positional count and keywords fit the callee's signature,
+    so a renamed or removed parameter fails here, not in a benchmark run."""
+    signature = inspect.signature(getattr(importlib.import_module(f"hpmetric.{mod}"), name))
+    for call in WORKLOAD_CALLS[mod, name]:
+        assert not any(isinstance(a, ast.Starred) for a in call.args), call.lineno
+        assert all(k.arg is not None for k in call.keywords), call.lineno
+        try:
+            signature.bind(*range(len(call.args)), **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            pytest.fail(f"workloads.py line {call.lineno}: {name}{signature}: {exc}")
 
 
 @pytest.mark.parametrize("field", ["smw_fallbacks", "used_reference"])

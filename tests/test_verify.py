@@ -8,7 +8,7 @@ from hpmetric.cli import main
 from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles
 from hpmetric.graphs import row_normalize
 from hpmetric.hitting import HittingProbabilities, hitting_fast
-from hpmetric.metric import hp_distance, hp_similarity, verify_metric_axioms
+from hpmetric.metric import hp_distance, hp_similarity, repeated_index_slack, verify_metric_axioms
 from hpmetric.rng import stream
 from hpmetric.stationary import stationary_distribution
 from hpmetric.verify import (TRIANGLE_TOL, _oracle_pairs, level_metric, run_levels,
@@ -120,8 +120,8 @@ def bits(x):
 
 class TestPivotSweepAgainstOracles:
     """The one pivot sweep against the per-pivot loops it replaced: every
-    triple of every chain, including the repeated-index triples that decide
-    glued (5, 40, 3) at beta = 1/2, where D has entries near -1.3e-14."""
+    triple of every chain, including the repeated-index triples, which decide
+    wherever every pivot's slack is negative."""
 
     @pytest.mark.parametrize("name", ORACLE_CHAINS)
     def test_submultiplicativity_bits(self, name, acceptance_suite):
@@ -146,12 +146,16 @@ class TestPivotSweepAgainstOracles:
                 assert abs(derived["value"] - want) <= 1e-15
             assert derived["ok"] == (want <= TRIANGLE_TOL)
 
-    def test_glued_5_40_3_is_decided_by_a_repeated_index(self):
+    def test_glued_5_40_3_has_no_negative_distance(self):
+        # Degenerate pairs read exactly 0, so no repeated-index triple has a
+        # positive slack.
         tm = row_normalize(gen_glued_cycles(GluedCyclesSpec(5, 40, 3)))
-        D = hp_distance(hp_similarity(hitting_fast(tm), stationary_distribution(tm), 0.5)).D
-        worst = oracle_triangle_slack(D)
-        assert worst > 0.0 and D.min() < 0.0
-        assert worst == float((-(D + D.T)).max())
+        Q = hitting_fast(tm).Q
+        D = hp_distance(hp_similarity(Q, stationary_distribution(tm), 0.5)).D
+        degenerate = (Q == 1.0) & (Q.T == 1.0)
+        assert degenerate.any() and (D[degenerate] == 0.0).all()
+        assert D.min() == 0.0
+        assert repeated_index_slack(D) == 0.0
 
     def test_beta_order_only_orders_the_report(self):
         # The sweep runs at the smallest beta whatever the requested order.
