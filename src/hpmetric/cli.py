@@ -77,6 +77,8 @@ def cmd_stationary(args) -> dict:
 def cmd_hitprob(args) -> dict | int:
     if bool(args.mc) == bool(args.out):
         raise InputError("hitprob needs exactly one of --out and --mc I J")
+    if args.mc and args.reference:
+        raise InputError("hitprob --reference needs --out, not --mc I J")
     tm = _load_chain(args)
     if args.mc:
         src, dst = args.mc

@@ -1,7 +1,9 @@
 """Hitting probabilities Q[i, j] = P_i(walk reaches j before returning to i).
 
-The fast path inverts the single matrix I - P + 11^T/n and reads every entry
-of Q off that inverse through the escape-probability identity
+The fast path inverts the single matrix G = I - P + 11^T/n, in place in the
+LU that ``stationary_distribution`` factored, so that it holds one n x n
+beside P, and reads every entry of Q off that inverse through the
+escape-probability identity
 Q[i, j] = 1 / (phi_i (m_ij + m_ji)), with m the mean first passage times
 (Kemeny & Snell, *Finite Markov Chains*; Aldous & Fill, ch. 2).  State
 reduction builds all of Q from censored chains in O(n^3), sharing no step
@@ -17,7 +19,6 @@ is degenerate (distance 0 at beta = 1/2).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +29,20 @@ from scipy.sparse.csgraph import connected_components
 from .errors import InputError, NumericalError, SimulationDivergenceError
 from .graphs import TransitionMatrix, per_chain
 from .rng import stream
-from .stationary import fundamental_system
+from .stationary import FACTOR_KEY, factor_fundamental_system
 
 STEP_CAP = 10_000_000
 
-# 1-norm condition estimate of I - P + 11^T/n above which the single-inverse
-# path is abandoned for state reduction.
+# 1-norm condition number ||G||_1 ||Z||_1 of G = I - P + 11^T/n above which
+# the single-inverse path is abandoned for state reduction.
 COND_LIMIT = 1e12
 
 # Columns holding a mutual pair Q_ij, Q_ji at or above this are certified
 # from the graph; a computed Q = 1 lies far closer to 1 than this.
 _CANDIDATE_CUT = 1.0 - 1e-6
+
+getri, getri_lwork, lange = la.lapack.get_lapack_funcs(
+    ("getri", "getri_lwork", "lange"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,15 @@ def hitting_by_reduction(tm: TransitionMatrix) -> np.ndarray:
     return Q
 
 
+def mirror_tiles(n: int, tile: int = 128):
+    """(rows, cols) slices of each tile of an n x n matrix on or above its
+    diagonal: A[rows, cols] and A[cols, rows].T then pair A[i, j] with
+    A[j, i], and every pair i <= j lies in exactly one tile."""
+    for i0 in range(0, n, tile):
+        for j0 in range(i0, n, tile):
+            yield slice(i0, i0 + tile), slice(j0, j0 + tile)
+
+
 @per_chain
 def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     """Full Q in O(n^3) from one dense inverse, by the escape-probability
@@ -184,37 +197,44 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
     With Z = inv(I - P + 11^T/n), phi = 1^T Z / n and the mean first passage
     times are m_ij = (Z_jj - Z_ij) / phi_j (Kemeny & Snell, *Finite Markov
     Chains*, 1960; Aldous & Fill, *Reversible Markov Chains and Random Walks
-    on Graphs*, ch. 2).  Z is overwritten in place by m, then by Q.  A
-    singular or ill-conditioned inverse (``COND_LIMIT``, or scipy's
-    ``LinAlgWarning``, whose rcond < eps lies far past it) hands the chain to
-    ``hitting_by_reduction``, flagged ``used_reference``, at about 8 n x n of
-    scratch against 2 n x n here.  On both paths ``_certify_ones`` then writes
-    exactly 1.0 where the graph proves Q = 1.  Solved once per chain: later
-    calls on the same ``tm`` return the same result, whose ``Q`` is read-only.
+    on Graphs*, ch. 2).  The LU of G^T that ``stationary_distribution`` left
+    in the memo (or, when absent, a new one) is inverted in place into Z^T,
+    F-ordered, so Z is its C-ordered transpose.  Z is overwritten in place by
+    m, then by Q.  A singular G, or ||G||_1 ||Z||_1 above ``COND_LIMIT``,
+    hands the chain to ``hitting_by_reduction``, flagged ``used_reference``,
+    at about 8 n x n of scratch against one n x n here.  On both paths
+    ``_certify_ones`` then writes exactly 1.0 where the graph proves Q = 1.
+    Solved once per chain: later calls on the same ``tm`` return the same
+    result, whose ``Q`` is read-only.
     """
     n = tm.n
-    G = fundamental_system(tm)
-    g_norm = la.norm(G, 1)
+    # Popped, not read: getri overwrites the LU, so it is this call's alone.
+    factor = tm._memo.pop(FACTOR_KEY, None)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", la.LinAlgWarning)
-            Z = la.inv(G)
-    except (la.LinAlgError, la.LinAlgWarning):
-        Z = None
-    del G
+        lu, piv, g_norm = factor_fundamental_system(tm) if factor is None else factor
+    except la.LinAlgError:
+        lu = None
+    else:
+        lu = getri(lu, piv, lwork=int(getri_lwork(n)[0]), overwrite_lu=True)[0]
+    del factor
 
-    if Z is None or g_norm * la.norm(Z, 1) > COND_LIMIT:
-        del Z
+    # ||Z||_1 is the infinity norm of Z^T; "not <=" also rejects a non-finite Z.
+    if lu is None or not g_norm * lange("I", lu) <= COND_LIMIT:
+        del lu
         Q = hitting_by_reduction(tm)
         _certify_ones(tm, Q)
         Q.flags.writeable = False
         return HittingProbabilities(Q=Q, used_reference=True)
 
+    Z = lu.T
     phi = Z.sum(axis=0) / n
     np.subtract(np.diag(Z).copy(), Z, out=Z)
     Z /= phi
-    # Commute times m_ij + m_ji; the infinite diagonal gives Q[i, i] = 0.
-    Z += Z.T
+    # Commute times m_ij + m_ji, summed in place a tile and its mirror at a
+    # time; the infinite diagonal gives Q[i, i] = 0.
+    for rows, cols in mirror_tiles(n):
+        Z[rows, cols] += Z[cols, rows].T
+        Z[cols, rows] = Z[rows, cols].T
     np.fill_diagonal(Z, np.inf)
     Z *= phi[:, None]
     np.reciprocal(Z, out=Z)
@@ -226,7 +246,8 @@ def hitting_fast(tm: TransitionMatrix) -> HittingProbabilities:
 def _certify_ones(tm: TransitionMatrix, Q: np.ndarray) -> None:
     """In place: exactly 1.0 where the support graph proves Q[i, j] = 1, and
     every other entry capped below 1, in each column j that holds a mutual
-    pair Q_ij, Q_ji >= ``_CANDIDATE_CUT``.
+    pair Q_ij, Q_ji >= ``_CANDIDATE_CUT``.  Those columns are found a tile
+    and its mirror at a time.
 
     Q[i, j] = 1 iff i lies on no cycle once j's out-edges are cut: its strong
     component there is {i}, and it has no self-loop.  The cut copies of the
@@ -234,27 +255,37 @@ def _certify_ones(tm: TransitionMatrix, Q: np.ndarray) -> None:
     strong-components pass.  Each copy's edges cost a few words of scratch,
     so a chunk holds about n^2 / (4 (edges + n)) copies: one n x n float64.
     """
-    near = Q >= _CANDIDATE_CUT
-    cols = np.flatnonzero((near & near.T).any(axis=0))
-    del near
+    n = tm.n
+    mutual = np.zeros(n, dtype=bool)
+    for rows, cols in mirror_tiles(n):
+        both = (Q[rows, cols] >= _CANDIDATE_CUT) & (Q[cols, rows].T >= _CANDIDATE_CUT)
+        mutual[cols] |= both.any(axis=0)
+        mutual[rows] |= both.any(axis=1)
+    cols = np.flatnonzero(mutual)
     if not cols.size:
         return
-    n = tm.n
-    src, dst = np.nonzero(tm.P)
+    src, dst = np.nonzero(tm.P)  # sorted by row
+    degree = np.bincount(src, minlength=n)
     loops = np.diag(tm.P) > 0.0
     chunk = max(1, n * n // (4 * (src.size + n)))
     for c0 in range(0, cols.size, chunk):
         js = cols[c0:c0 + chunk]
-        off = n * np.arange(js.size)[:, None]
-        kept = src != js[:, None]
-        copies = sp.coo_matrix((np.ones(np.count_nonzero(kept), dtype=bool),
-                                ((src + off)[kept], (dst + off)[kept])),
+        copy = np.arange(js.size)
+        # Copy c holds rows c n to (c + 1) n.  Its edges, sorted by row and
+        # placed after those of copy c - 1, are already the CSR order.
+        indices = (dst + n * copy[:, None])[src != js[:, None]].astype(np.int32)
+        counts = np.tile(degree, js.size)
+        counts[n * copy + js] = 0
+        indptr = np.zeros(js.size * n + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        del counts
+        copies = sp.csr_matrix((np.ones(indices.size), indices, indptr),
                                shape=(js.size * n,) * 2)
-        del kept
+        del indices, indptr
         _, comp = connected_components(copies, directed=True, connection="strong")
         del copies
         ones = (np.bincount(comp)[comp] == 1).reshape(js.size, n) & ~loops
-        ones[np.arange(js.size), js] = False
+        ones[copy, js] = False
         Q[:, js] = np.where(ones.T, 1.0, np.minimum(Q[:, js], np.nextafter(1.0, 0.0)))
 
 

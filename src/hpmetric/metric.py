@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, StructureError
 from .graphs import strongly_connected_components
-from .hitting import HittingProbabilities
+from .hitting import HittingProbabilities, mirror_tiles
 from .stationary import StationaryDistribution
 
 SYMMETRY_CONSISTENCY_TOL = 1e-8
@@ -78,18 +78,16 @@ def hp_similarity(Q, phi: StationaryDistribution, beta: float) -> HpSimilarity:
     n, tile = A.shape[0], 256
     buf = np.empty((min(n, tile), min(n, tile)))
     asym = 0.0
-    for i0 in range(0, n, tile):
-        for j0 in range(i0, n, tile):
-            upper = A[i0:i0 + tile, j0:j0 + tile]
-            lower = A[j0:j0 + tile, i0:i0 + tile].T
-            d = buf[: upper.shape[0], : upper.shape[1]]
-            np.subtract(upper, lower, out=d)
-            np.abs(d, out=d)
-            asym = np.maximum(asym, d.max())
-            np.add(upper, lower, out=d)
-            d /= 2.0
-            upper[...] = d
-            lower[...] = d
+    for rows, cols in mirror_tiles(n, tile):
+        upper, lower = A[rows, cols], A[cols, rows].T
+        d = buf[: upper.shape[0], : upper.shape[1]]
+        np.subtract(upper, lower, out=d)
+        np.abs(d, out=d)
+        asym = np.maximum(asym, d.max())
+        np.add(upper, lower, out=d)
+        d /= 2.0
+        upper[...] = d
+        lower[...] = d
     asym = float(asym)
     if beta == 0.5:
         ones = Qm == 1.0

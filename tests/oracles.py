@@ -92,6 +92,20 @@ def oracle_stationary_lu(P: np.ndarray) -> np.ndarray:
     return phi / phi.sum()
 
 
+def oracle_hitting_inverse(P: np.ndarray) -> np.ndarray:
+    """Q by the commute-time identity from Z = la.inv(G), G = I - P + 11^T/n,
+    formed out of place without the graph's certification of Q = 1."""
+    n = P.shape[0]
+    G = np.subtract(1.0 / n, P)
+    G.flat[:: n + 1] += 1.0
+    Z = la.inv(G)
+    phi = Z.sum(axis=0) / n
+    M = (np.diag(Z)[None, :] - Z) / phi[None, :]
+    C = M + M.T
+    np.fill_diagonal(C, np.inf)
+    return 1.0 / (phi[:, None] * C)
+
+
 def exact_hitting_matrix(P: np.ndarray) -> np.ndarray:
     """Q by the absorbing-state solve of oracle_hitting_probability, in exact
     rational arithmetic (n <= 8).

@@ -673,6 +673,7 @@ class TestVerifyAndExitCodes:
         ["hitprob", "--in", "GLUED", "--mc", "b1", "nowhere"],
         ["hitprob", "--in", "GLUED"],
         ["hitprob", "--in", "GLUED", "--mc", "b1", "c1_1", "--out", "OUT"],
+        ["hitprob", "--in", "GLUED", "--mc", "b1", "c1_1", "--reference"],
         ["verify", "--in", "GLUED", "--model", "glued", "--levels", "identity"],
         ["cluster", "--in", "GLUED", "--method", "kmedoids-d12", "--k", "0"],
         ["cluster", "--in", "GLUED", "--method", "pca-kmeans-d12", "--k", "0"],
@@ -683,7 +684,8 @@ class TestVerifyAndExitCodes:
          "--out", "OUT"],
     ], ids=["beta-abc", "beta-comma", "levels-bogus", "levels-partly-bogus", "levels-empty",
             "verify-walks-0", "hitprob-walks-0", "mc-same-label", "mc-unknown-label",
-            "hitprob-no-out", "hitprob-mc-and-out", "verify-in-and-model", "kmedoids-k-0", "pca-kmeans-k-0",
+            "hitprob-no-out", "hitprob-mc-and-out", "hitprob-mc-and-reference",
+            "verify-in-and-model", "kmedoids-k-0", "pca-kmeans-k-0",
             "restarts-0", "embed-dims-negative", "embed-dims-0", "planted-k-0"])
     def test_input_errors_exit_2(self, argv, glued_csv, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -1,19 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hpmetric import hitting, stationary
 from hpmetric.errors import NumericalError, SimulationDivergenceError
 from hpmetric.generators import gen_random_strongly_connected
 from hpmetric.graphs import largest_scc, make_digraph, row_normalize
 from hpmetric.hitting import (hitting_by_reduction, hitting_fast, hitting_reference,
                               simulate_hit_before_return, simulate_visit_counts)
 from hpmetric.metric import degenerate_pairs
-from hpmetric.stationary import stationary_distribution
+from hpmetric.stationary import FACTOR_KEY, stationary_distribution
 
 from conftest import directed_cycle, named_chain, random_chain, two_k3_bridge
-from oracles import exact_hitting_matrix, oracle_hitting_matrix, oracle_hitting_probability
+from oracles import (exact_hitting_matrix, oracle_hitting_inverse, oracle_hitting_matrix,
+                     oracle_hitting_probability)
 
 
 def stack_reference(tm):
@@ -143,16 +147,16 @@ class TestFast:
         assert relative_error(result.Q, exact_hitting_matrix(tm.P)) <= 1e-14
 
     def test_fallback_inverts_once(self, monkeypatch):
-        calls = []
-        inv = la.inv
+        factored, inverted = count_chain_solves(monkeypatch), []
+        getri = hitting.getri
 
-        def counting(M, *args, **kwargs):
-            calls.append(M.shape)
-            return inv(M, *args, **kwargs)
+        def counting(lu, *args, **kwargs):
+            inverted.append(lu.shape[0])
+            return getri(lu, *args, **kwargs)
 
-        monkeypatch.setattr(la, "inv", counting)
+        monkeypatch.setattr(hitting, "getri", counting)
         assert hitting_fast(two_random_blocks(13)).used_reference
-        assert calls == [(8, 8)]
+        assert factored == inverted == [8]
 
     def test_ill_conditioning_warning_takes_reduction(self):
         # scipy warns on this inverse (rcond below eps); under the suite's
@@ -165,7 +169,7 @@ class TestFast:
     def test_singular_inverse_takes_reduction(self, monkeypatch):
         tm = random_chain(10, seed=4)
 
-        monkeypatch.setattr(la, "inv", singular)
+        monkeypatch.setattr(stationary, "getrf", singular_lu)
         result = hitting_fast(tm)
         assert result.used_reference
         assert not result.Q.flags.writeable
@@ -283,25 +287,45 @@ def singular(M, *args, **kwargs):
     raise la.LinAlgError("singular matrix")
 
 
+def singular_lu(a, overwrite_a=False):
+    """getrf reporting an exactly singular matrix: U[0, 0] = 0."""
+    return a, np.arange(1, a.shape[0] + 1, dtype=np.int32), 1
+
+
 def count_chain_solves(monkeypatch):
-    """Record the size of every stationary solve, and of every inverse of a
-    matrix with unit row sums, which is I - P + 11^T/n for a chain P; the
-    reference path's column matrices have zero row sums outside row j."""
-    sizes = {"phi": [], "Q": []}
-    inv, solve = la.inv, la.solve
+    """Record the size of every LU of I - P + 11^T/n, the one factorization
+    that phi and Q of a chain P share."""
+    sizes = []
+    getrf = stationary.getrf
 
-    def spy_inv(M, *args, **kwargs):
-        if np.allclose(np.asarray(M).sum(axis=1), 1.0):
-            sizes["Q"].append(M.shape[0])
-        return inv(M, *args, **kwargs)
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return getrf(a, *args, **kwargs)
 
-    def spy_solve(A, b, *args, **kwargs):
-        sizes["phi"].append(A.shape[0])
-        return solve(A, b, *args, **kwargs)
-
-    monkeypatch.setattr(la, "inv", spy_inv)
-    monkeypatch.setattr(la, "solve", spy_solve)
+    monkeypatch.setattr(stationary, "getrf", spy)
     return sizes
+
+
+def test_inverse_in_place_matches_out_of_place(acceptance_suite):
+    for tm in acceptance_suite:
+        result = hitting_fast(tm)
+        assert not result.used_reference
+        assert relative_error(result.Q, oracle_hitting_inverse(tm.P)) <= 1e-14
+
+
+def test_q_after_phi_needs_no_n_by_n_scratch():
+    # The LU is inverted where it lies and the commute times are summed a
+    # tile at a time, so what is left is getri's workspace, O(n) vectors and
+    # tiles.
+    tm = random_chain(1000, seed=2)
+    stationary_distribution(tm)
+    tracemalloc.start()
+    try:
+        hitting_fast(tm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * 8 * tm.n**2
 
 
 class TestMemo:
@@ -309,7 +333,16 @@ class TestMemo:
         sizes = count_chain_solves(monkeypatch)
         tm = random_chain(20, seed=3)
         assert hitting_fast(tm) is hitting_fast(tm)
-        assert sizes["Q"] == [20]
+        assert sizes == [20]
+
+    def test_factor_stays_after_phi_until_q_takes_it(self, monkeypatch):
+        sizes = count_chain_solves(monkeypatch)
+        tm = random_chain(20, seed=3)
+        stationary_distribution(tm)
+        assert FACTOR_KEY in tm._memo
+        hitting_fast(tm)
+        assert FACTOR_KEY not in tm._memo
+        assert sizes == [20]
 
     @pytest.mark.parametrize("eps,reference", [(1.0, False), (1e-14, True)])
     def test_result_is_read_only(self, eps, reference):
@@ -319,11 +352,11 @@ class TestMemo:
             result.Q[0, 1] = 0.5
 
     def test_failed_call_stores_nothing(self, monkeypatch):
-        # A singular inverse sends the chain to state reduction, whose own
+        # A singular LU sends the chain to state reduction, whose own
         # singular block still raises.
         tm = random_chain(10, seed=4)
 
-        monkeypatch.setattr(la, "inv", singular)
+        monkeypatch.setattr(stationary, "getrf", singular_lu)
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(NumericalError):
             hitting_fast(tm)
@@ -338,7 +371,7 @@ class TestMemo:
         assert report["ok"]
         n_quotient = report["levels"]["quotient"]["n_classes"]
         assert n_quotient < glued_342.n
-        assert sizes == {"phi": [glued_342.n, n_quotient], "Q": [glued_342.n, n_quotient]}
+        assert sizes == [glued_342.n, n_quotient]
 
 
 class TestSimulation:

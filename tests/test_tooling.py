@@ -210,3 +210,48 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+SRC = Path(hpmetric.__file__).parent
+
+
+def dotted(node) -> str:
+    """``a.b.c`` for a chain of attributes on a name, else ''."""
+    if isinstance(node, ast.Attribute):
+        base = dotted(node.value)
+        return f"{base}.{node.attr}" if base else ""
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def src_calls() -> list:
+    """(module, top-level function or '<module>', dotted callee) for every call
+    under src/hpmetric; calls in nested functions count for the outer one."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            calls += [(path.stem, owner, dotted(node.func)) for node in ast.walk(top)
+                      if isinstance(node, ast.Call)]
+    return calls
+
+
+SRC_CALLS = src_calls()
+DENSE_INVERSES = {f"{lib}.{fn}" for lib in ("la", "np.linalg") for fn in ("inv", "solve")}
+
+
+def test_g_is_built_only_to_be_factored():
+    """G = I - P + 11^T/n has one caller, the function that factors it once
+    per chain for phi and Q."""
+    callers = [(mod, fn) for mod, fn, callee in SRC_CALLS
+               if callee.rsplit(".", 1)[-1] == "fundamental_system"]
+    assert callers == [("stationary", "factor_fundamental_system")]
+
+
+def test_no_dense_inverse_or_solve_on_g():
+    """No function that builds or factors G also calls la.inv, la.solve or
+    numpy's: phi and Z come from the one LU."""
+    on_g = {(mod, fn) for mod, fn, callee in SRC_CALLS if callee.rsplit(".", 1)[-1]
+            in ("fundamental_system", "factor_fundamental_system")}
+    inverting = {(mod, fn) for mod, fn, callee in SRC_CALLS if callee in DENSE_INVERSES}
+    assert {("stationary", "stationary_distribution"), ("hitting", "hitting_fast")} <= on_g
+    assert inverting and not on_g & inverting
