@@ -5,11 +5,14 @@ combinations of P and P^T, the stationary-weighted Laplacian
 L = I - (Phi^{1/2} P Phi^{-1/2} + Phi^{-1/2} P^T Phi^{1/2}) / 2, and the
 normalized hitting-probability similarity at a chosen beta.  The Fiedler
 vector comes from the three smallest Laplacian eigenpairs only: by a dense
-subset solve below ``LANCZOS_MIN_N`` nodes, and from there on by
+subset solve below ``LANCZOS_MIN_N`` nodes, and from there on by Lanczos,
+where the dense solve's tridiagonal reduction is memory-bound.  A Laplacian
+with every entry nonzero, such as any hp Laplacian, has its unwanted
+eigenvalues tightly bunched, so plain Lanczos on L converges in a few dozen
+matrix-vector products (the Kaniel-Paige-Saad bound; Saad, Numerical Methods
+for Large Eigenvalue Problems, ch. 6).  Any other Laplacian gets
 shift-invert Lanczos on one LU factorization of the shifted Laplacian
-(Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998), which costs one
-factorization plus O(n^2) per step where the dense solve's tridiagonal
-reduction is memory-bound.
+(Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import InputError
 from .graphs import TransitionMatrix
-from .hitting import hitting_fast
+from .hitting import hitting_fast, mirror_tiles
 from .metric import hp_similarity
 from .rng import stream
 from .stationary import StationaryDistribution, stationary_distribution
@@ -33,9 +36,9 @@ KINDS = ("additive", "max", "chung", "hp")
 # Fiedler entries below this fraction of max|v| get sign 0.
 ZERO_THRESHOLD = 1e-8
 
-# From this many nodes on, the Fiedler vector comes from shift-invert Lanczos
-# on one LU instead of a dense subset solve.  Measured best of k with one
-# BLAS thread on random digraphs: Lanczos is at parity with the dense solve
+# From this many nodes on, the Fiedler vector comes from Lanczos instead of a
+# dense subset solve.  Measured best of k with one BLAS thread on random
+# digraphs: shift-invert Lanczos is at parity with the dense solve
 # at n = 500 on hp Laplacians (0.35-0.44x at 1500) and at n = 1000 on chung
 # Laplacians, whose spectra need about three times the Lanczos steps
 # (0.7x at 1500), so neither kind gets slower at this size.
@@ -43,6 +46,15 @@ LANCZOS_MIN_N = 1000
 
 # The Lanczos shift, relative to max|diag L|.
 SHIFT = 1e-8
+
+# Restarts allowed to plain Lanczos before L goes to shift-invert.  With
+# eigsh's default 20 Lanczos vectors, 8 restarts take at most 152 GEMVs, and
+# a whole shift-invert run (copy, LU and solves) costs 110-240 GEMVs at
+# n = 1000-2000 with one BLAS thread, so a plain run that fails costs about
+# one shift-invert run at most.  Full-support Laplacians of random digraphs
+# converged in 38-69 GEMVs (hp, beta = 1/2), 71-146 (hp, beta = 1) and
+# 36-134 (chung on circle point clouds).
+PLAIN_MAXITER = 8
 
 
 @dataclass(frozen=True)
@@ -86,14 +98,14 @@ def symmetrize(tm: TransitionMatrix, phi: StationaryDistribution, kind: str,
 def laplacian(M: np.ndarray) -> np.ndarray:
     """L = D - M for a symmetric nonnegative adjacency M."""
     M = np.asarray(M, dtype=float)
-    # One n x n buffer: first |M - M^T|, then L.
-    L = np.subtract(M, M.T)
-    np.abs(L, out=L)
-    if L.max() > 1e-10:
+    # |M - M^T| a tile and its mirror at a time, so the only n x n is L.
+    asym = max((np.abs(M[rows, cols] - M[cols, rows].T).max()
+                for rows, cols in mirror_tiles(M.shape[0])), default=0.0)
+    if asym > 1e-10:
         raise InputError("adjacency must be symmetric")
     if M.min() < 0:
         raise InputError("adjacency must be nonnegative")
-    np.subtract(0.0, M, out=L)
+    L = np.subtract(0.0, M)
     L.flat[:: M.shape[0] + 1] += M.sum(axis=1)
     return L
 
@@ -105,9 +117,21 @@ def operator_laplacian(op: SymmetricOperator) -> np.ndarray:
 def _lanczos_eigenpairs(L: np.ndarray):
     """The three smallest eigenpairs of the symmetric L, smallest first."""
     n = L.shape[0]
-    # The same check as lu_factor's own, without its n x n boolean mask.
+    # lu_factor's check, without its n x n boolean mask: neither solver below
+    # makes it, and a non-finite entry would pass through their products.
     if not (np.isfinite(L.min()) and np.isfinite(L.max())):
         raise ValueError("array must not contain infs or NaNs")
+    v0 = stream(0).standard_normal(n)
+    if np.count_nonzero(L) == n * n:
+        # Full support bunches the unwanted spectrum (lambda_2..lambda_n of
+        # an hp Laplacian lie in [795, 991] at n = 2000): one GEMV per step,
+        # and no n x n scratch.
+        try:
+            vals, vecs = eigsh(L, k=3, which="SA", tol=0, v0=v0, maxiter=PLAIN_MAXITER)
+        except ArpackNoConvergence:
+            pass
+        else:
+            return _rayleigh_quotients(L, vals, vecs)
     delta = SHIFT * np.abs(np.diagonal(L)).max()
     # One n x n copy, shifted and then factored in place.
     lu = np.array(L, order="F")
@@ -118,8 +142,7 @@ def _lanczos_eigenpairs(L: np.ndarray):
         (n, n), dtype=float,
         matvec=lambda b: la.lu_solve(lu_piv, b, check_finite=False))
     try:
-        vals, vecs = eigsh(L, k=3, sigma=-delta, which="LM", tol=0, OPinv=inverse,
-                           v0=stream(0).standard_normal(n))
+        vals, vecs = eigsh(L, k=3, sigma=-delta, which="LM", tol=0, OPinv=inverse, v0=v0)
     except ArpackNoConvergence:
         warnings.warn(
             "shift-invert Lanczos did not converge; the Fiedler vector comes "
@@ -129,9 +152,14 @@ def _lanczos_eigenpairs(L: np.ndarray):
         )
         del lu, lu_piv, inverse  # free the factor before eigh copies L
         return la.eigh(L, subset_by_index=[0, 2])
+    return _rayleigh_quotients(L, vals, vecs)
+
+
+def _rayleigh_quotients(L: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """The Ritz vectors sorted by value, and L's Rayleigh quotients at them.
+    Ritz values of the inverse lose digits away from the shift; Rayleigh
+    quotients of L are accurate to rounding in ||L||, as eigh's values are."""
     vecs = vecs[:, np.argsort(vals)]
-    # Ritz values of the inverse lose digits away from the shift; Rayleigh
-    # quotients of L are accurate to rounding in ||L||, as eigh's values are.
     return np.einsum("ij,ij->j", vecs, L @ vecs), vecs
 
 
@@ -149,16 +177,21 @@ def fiedler_vector(L: np.ndarray):
     Only the three smallest eigenpairs are computed.  Below
     ``LANCZOS_MIN_N`` nodes they come from a dense subset solve
     (``la.eigh`` with ``subset_by_index``).  From ``LANCZOS_MIN_N`` on they
-    come from shift-invert Lanczos (ARPACK's ``eigsh``): L + delta I, with
-    delta = ``SHIFT`` * max|diag L|, is factored once by LU in one copy of L,
-    and each Lanczos step is one pair of triangular solves (about 40 on hp
-    and 115-135 on chung Laplacians of random digraphs).  The shift keeps
-    the factor nonsingular, since L has the eigenvalue 0.  The start vector
-    is a fixed normal draw from ``rng.stream(0)``, not 1, to which the
-    Fiedler vector is orthogonal, so repeated calls give the same bits.  The
-    eigenvalues are the Rayleigh quotients of L at the Lanczos vectors.  If
-    Lanczos does not converge, a ``RuntimeWarning`` says so and the dense
-    subset solve is used.
+    come from Lanczos (ARPACK's ``eigsh``).  When every entry of L is
+    nonzero, as in any hp Laplacian, plain Lanczos runs on L itself: each
+    step is one matrix-vector product (38-69 on hp Laplacians of random
+    digraphs), and L is neither copied nor factored.  Any other L, or one
+    whose plain run has not converged within ``PLAIN_MAXITER`` restarts,
+    gets shift-invert Lanczos: L + delta I, with delta = ``SHIFT`` *
+    max|diag L|, is factored once by LU in one copy of L, and each step is
+    one pair of triangular solves (115-135 on chung Laplacians of random
+    digraphs).  The shift keeps the factor nonsingular, since L has the
+    eigenvalue 0.  The start vector is a fixed normal draw from
+    ``rng.stream(0)``, not 1, to which the Fiedler vector is orthogonal, so
+    repeated calls give the same bits.  The eigenvalues are the Rayleigh
+    quotients of L at the Lanczos vectors.  If shift-invert Lanczos does not
+    converge, a ``RuntimeWarning`` says so and the dense subset solve is
+    used.
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from hpmetric import spectral, stationary
 from hpmetric.errors import InputError
-from hpmetric.generators import (GluedCyclesSpec, gen_glued_cycles,
+from hpmetric.generators import (GeometricGraphSpec, GluedCyclesSpec,
+                                 PlantedPartitionSpec, gen_er_cycle, gen_geometric,
+                                 gen_glued_cycles, gen_planted_partition,
                                  gen_random_strongly_connected)
 from hpmetric.graphs import make_digraph, row_normalize
 from hpmetric.hitting import hitting_fast
@@ -156,6 +159,14 @@ class TestLaplacian:
         with pytest.raises(InputError):
             laplacian(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("i, j", [(290, 5), (5, 290), (200, 150)])
+    def test_asymmetry_found_in_any_tile(self, i, j):
+        # The symmetry check walks tiles of 128 and their mirrors.
+        M = random_adjacency(300, 5)
+        M[i, j] += 1e-9
+        with pytest.raises(InputError, match="symmetric"):
+            laplacian(M)
+
 
 class TestFiedler:
     def test_path3_pattern(self):
@@ -205,6 +216,40 @@ def chung_laplacian(n, seed):
     return symmetrize(tm, stationary_distribution(tm), "chung").M
 
 
+def chain_laplacian(g, kind):
+    tm = row_normalize(g)
+    return operator_laplacian(symmetrize(tm, stationary_distribution(tm), kind, 0.5))
+
+
+def bridged_blocks_hp_laplacian(n=1002, blocks=3, eps=1e-9):
+    """The hp Laplacian at beta = 1/2 of random digraphs with p = 20/size,
+    in a row of blocks joined both ways by edges of weight eps."""
+    h = n // blocks
+    W = np.zeros((n, n))
+    for b in range(blocks):
+        part = slice(b * h, (b + 1) * h)
+        W[part, part] = gen_random_strongly_connected(h, p=20.0 / h, seed=b).weights.toarray()
+    for b in range(blocks - 1):
+        W[b * h, (b + 1) * h] = W[(b + 1) * h, b * h] = eps
+    return chain_laplacian(make_digraph(W), "hp")
+
+
+# Every entry nonzero, from LANCZOS_MIN_N on: plain Lanczos on L.
+FULL_SUPPORT_CASES = {
+    "planted-hp": lambda: chain_laplacian(
+        gen_planted_partition(PlantedPartitionSpec(2001, 3, 0.3, 0.001), seed=0)[0], "hp"),
+    "circle-chung": lambda: chain_laplacian(
+        gen_geometric(GeometricGraphSpec("circle", spectral.LANCZOS_MIN_N), seed=0)[0], "chung"),
+}
+
+# Zeros off the diagonal, from LANCZOS_MIN_N on: shift-invert Lanczos.
+SPARSE_SUPPORT_CASES = {
+    "chung": lambda: chung_laplacian(spectral.LANCZOS_MIN_N, 5),
+    "er-cycle-additive": lambda: chain_laplacian(
+        gen_er_cycle(spectral.LANCZOS_MIN_N - 100, 100, 0.05, 3.0, seed=0), "additive"),
+}
+
+
 SUBSET_CASES = {
     "glued-hp-0.5": lambda: glued_hp_laplacian(0.5),
     "glued-hp-1": lambda: glued_hp_laplacian(1.0),
@@ -236,6 +281,22 @@ def spied_solve(L):
         mp.setattr(spectral, "eigsh", spy("eigsh", spectral.eigsh))
         v, _ = fiedler_vector(L)
     return v, calls
+
+
+def eigsh_modes(calls):
+    return [(name, kwargs.get("which")) for name, kwargs, _ in calls]
+
+
+def plain_lanczos_solve(L):
+    """fiedler_vector(L), checked to take one plain Lanczos run and no LU."""
+    def no_lu(*args, **kwargs):
+        raise AssertionError("lu_factor called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral.la, "lu_factor", no_lu)
+        v, calls = spied_solve(L)
+    assert eigsh_modes(calls) == [("eigsh", "SA")]
+    return v
 
 
 def dense_solve(L):
@@ -272,7 +333,8 @@ class TestFiedlerSubset:
         if L.shape[0] < spectral.LANCZOS_MIN_N:
             assert (solver, kwargs) == ("eigh", {"subset_by_index": [0, 2]})
         else:
-            assert (solver, kwargs["k"], kwargs["which"]) == ("eigsh", 3, "LM")
+            mode = "SA" if np.all(L != 0) else "LM"
+            assert (solver, kwargs["k"], kwargs["which"]) == ("eigsh", 3, mode)
         vals = np.sort(vals)
         want = ref_vals[:3]
         assert np.all(np.abs(vals - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
@@ -334,6 +396,71 @@ class TestFiedlerSubset:
             v, calls = spied_solve(L)
         assert [c[0] for c in calls] == ["eigsh"]
         assert off_subspace(v, V) <= 1e-10
+
+    @pytest.mark.parametrize("case", list(FULL_SUPPORT_CASES))
+    def test_full_support_takes_plain_lanczos(self, case):
+        L = FULL_SUPPORT_CASES[case]()
+        assert L.shape[0] >= spectral.LANCZOS_MIN_N
+        v = plain_lanczos_solve(L)
+        want, _ = dense_solve(L)
+        assert np.abs(v - want).max() <= 1e-10
+
+    def test_bridged_blocks_compare_subspaces(self):
+        # Three blocks joined by 1e-9 edges: lambda_2 and lambda_3 lie near
+        # 1e-7, next to lambda_1 = 0, so only the span of the three is
+        # determined to rounding, and within it the split between the blocks.
+        L = bridged_blocks_hp_laplacian()
+        _, V = la.eigh(L, subset_by_index=[0, 2])
+        v = plain_lanczos_solve(L)
+        assert off_subspace(v, V) <= 1e-10
+        blocks = [set(np.sign(part)) for part in np.split(v, 3)]
+        assert all(len(b) == 1 for b in blocks) and {1, -1} <= set.union(*blocks)
+
+    @pytest.mark.parametrize("case", list(SPARSE_SUPPORT_CASES))
+    def test_sparse_support_takes_shift_invert(self, case):
+        L = SPARSE_SUPPORT_CASES[case]()
+        assert np.count_nonzero(L) < L.size
+        _, calls = spied_solve(L)
+        assert eigsh_modes(calls) == [("eigsh", "LM")]
+
+    def test_plain_lanczos_makes_no_n_by_n_scratch(self):
+        n = spectral.LANCZOS_MIN_N
+        L = hp_laplacian(n, 3)
+        tracemalloc.start()
+        try:
+            fiedler_vector(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * n * n
+
+    def test_plain_no_convergence_falls_through_to_shift_invert(self, monkeypatch):
+        # A real non-convergence (one restart is too few for this L) against
+        # a plain call that fails at once: both give the shift-invert bits.
+        L = laplacian(random_adjacency(spectral.LANCZOS_MIN_N, 8))
+        eigsh = spectral.eigsh
+
+        def plain_fails(*args, **kwargs):
+            if kwargs["which"] == "SA":
+                raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+            return eigsh(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "eigsh", plain_fails)
+            want = fiedler_vector(L)
+        monkeypatch.setattr(spectral, "PLAIN_MAXITER", 1)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["which"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigsh", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, signs = fiedler_vector(L)
+        assert calls == ["SA", "LM"]
+        assert np.array_equal(v, want[0]) and np.array_equal(signs, want[1])
 
     @pytest.mark.parametrize("offset", [-1, 0], ids=["dense", "lanczos"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
