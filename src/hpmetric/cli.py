@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .clustering import empirical_p_value, kmeans, kmedoids, pca_embed, purity_accuracy
 from .errors import InputError, NumericalError, ParseError, StructureError
 from .files import meta_path, write_column_csv, write_dense_csv, write_edge_csv, write_meta
 from .generators import (GeometricGraphSpec, GluedCyclesSpec, PlantedPartitionSpec,
@@ -205,12 +206,6 @@ def _distance_matrix(tm, which):
 
 
 def cmd_cluster(args) -> int:
-    # Imported here, not at the top: clustering loads scipy.optimize, which
-    # would add 0.19 s to every command's start.  Every other module imports
-    # in 0.29 s together, within 0.01 s of what stationary alone needs (fresh
-    # processes, best of 15).
-    from .clustering import empirical_p_value, kmeans, kmedoids, pca_embed, purity_accuracy
-
     tm = _load_chain(args)
     if args.method == "kmedoids-d12":
         D = _distance_matrix(tm, "d12")
@@ -258,8 +253,6 @@ def _read_truth(path, labels):
 
 
 def cmd_embed(args) -> dict:
-    from .clustering import pca_embed  # deferred for the reason given in cmd_cluster
-
     tm = _load_chain(args)
     M = _distance_matrix(tm, args.matrix)
     coords, ratios = pca_embed(M, args.dims)

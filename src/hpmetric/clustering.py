@@ -7,9 +7,9 @@ identical seeds reproduce identical labels on any platform.
 from __future__ import annotations
 
 import warnings
+from functools import cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
 from .rng import stream
@@ -161,20 +161,57 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 5, seed: int = 0) -> np.n
     return best_labels
 
 
+@cache
+def _layers(k: int) -> list:
+    """For each row r of a k x k matching, a k x C(k, r+1) table: entry (c, i)
+    is the position of the i-th column set of size r+1, without c, among the
+    sets of size r, or the sentinel slot after them when c is not in the set.
+    Sets of one size are in increasing order of their bitmasks."""
+    layers, sets = [], [0]
+    for size in range(1, k + 1):
+        position = {s: i for i, s in enumerate(sets)}
+        sets = [s for s in range(1 << k) if s.bit_count() == size]
+        layers.append(np.array([[position.get(s ^ (1 << c), len(position))
+                                 for s in sets] for c in range(k)]))
+    return layers
+
+
+def _max_agreement(conf: np.ndarray) -> np.ndarray:
+    """Most agreement over one-to-one row-to-column matchings, for a stack
+    (..., k, k) of integer confusion counts.
+
+    Held-Karp dynamic programming over column subsets: best[S] is the most
+    agreement from rows 0..|S|-1 matched onto the columns in S, so row r
+    costs k steps over the C(k, r+1) sets of its layer, k 2^k in all.  Only
+    the previous layer is kept.
+    """
+    k = conf.shape[-1]
+    never = np.full((1,) + conf.shape[:-2], -(2**62), dtype=np.int64)
+    best = np.zeros_like(never)  # the empty column set
+    for r, prev in enumerate(_layers(k)):
+        best = np.concatenate([best, never])  # the sentinel slot: never the maximum
+        layer = best[prev[0]] + conf[..., r, 0]
+        for c in range(1, k):
+            np.maximum(layer, best[prev[c]] + conf[..., r, c], out=layer)
+        best = layer
+    return best[0]
+
+
 def purity_accuracy(labels, truth) -> float:
     """Best label-permutation agreement between a clustering and the truth."""
     labels = np.asarray(labels)
     truth = np.asarray(truth)
     if labels.shape != truth.shape:
         raise InputError("labels and truth must have the same length")
+    if labels.size == 0:
+        raise InputError("purity needs at least one labelled node")
     pred_ids, li = np.unique(labels, return_inverse=True)
     true_ids, ti = np.unique(truth, return_inverse=True)
     k = max(pred_ids.size, true_ids.size)
     if k > 8:
         raise InputError("purity matching is limited to k <= 8 labels")
     conf = np.bincount(li * k + ti, minlength=k * k).reshape(k, k)
-    rows, cols = linear_sum_assignment(-conf)
-    return float(conf[rows, cols].sum() / labels.size)
+    return float(_max_agreement(conf) / labels.size)
 
 
 def empirical_p_value(accuracy: float, n: int, k: int, trials: int = 4000,
@@ -183,19 +220,19 @@ def empirical_p_value(accuracy: float, n: int, k: int, trials: int = 4000,
 
     Draws ``trials`` labelings with each node's community uniform on [k],
     scores each against a balanced truth, and applies the add-one correction
-    so the result is never exactly zero.
+    so the result is never exactly zero.  Each draw is reduced to its k x k
+    confusion counts at once, and all of them are matched in one pass.
     """
     if trials < 1:
         raise InputError("need at least one trial")
-    size = n // k
-    truth = np.repeat(np.arange(k), size)
-    if truth.size < n:
-        truth = np.concatenate([truth, np.arange(n - truth.size) % k])
+    if not 1 <= k <= 8:
+        raise InputError(f"p-value needs 1 <= k <= 8 communities, got k={k}")
+    if n < 1:
+        raise InputError(f"p-value needs at least one node, got n={n}")
+    truth = np.concatenate([np.repeat(np.arange(k), n // k), np.arange(n % k)])
     rng = stream(seed, 0)
-    at_least = 0
-    for _ in range(trials):
-        random_labels = rng.integers(0, k, size=n)
-        if purity_accuracy(random_labels, truth) >= accuracy:
-            at_least += 1
-    return (at_least + 1) / (trials + 1)
-
+    conf = np.empty((trials, k * k), dtype=np.int64)
+    for t in range(trials):
+        conf[t] = np.bincount(rng.integers(0, k, size=n) * k + truth, minlength=k * k)
+    purity = _max_agreement(conf.reshape(trials, k, k)) / n
+    return (int(np.count_nonzero(purity >= accuracy)) + 1) / (trials + 1)

@@ -2,11 +2,12 @@
 
 These deliberately avoid the code paths they check: hitting probabilities
 come from an absorbing-state first-passage solve rather than the inverse
-ratio formula, clustering optima come from enumeration, and the quotient
-structure checks come from per-node breadth-first search and a per-pair loop
-rather than whole-array reachability and row blocks, and the dense CSV
-writer and reader format and parse one value at a time through Python
-strings and floats, holding the whole file's text, rather than streaming
+ratio formula, clustering optima come from enumeration, the empirical
+p-value scores its random labelings one at a time rather than as one stack,
+and the quotient structure checks come from per-node breadth-first search
+and a per-pair loop rather than whole-array reachability and row blocks, and
+the dense CSV writer and reader format and parse one value at a time through
+Python strings and floats, holding the whole file's text, rather than streaming
 rows through C-level formatting and parsing, and the submultiplicativity and
 triangle checks loop over pivots with one n x n temporary each rather than
 sweeping blocks of rows once for every beta, and the stationary solve builds
@@ -23,6 +24,7 @@ a dense n x m class indicator filled one state at a time rather than
 summing over classes with a sparse one.
 """
 
+import functools
 import itertools
 from collections import deque
 from fractions import Fraction
@@ -35,6 +37,7 @@ import scipy.sparse as sp
 from hpmetric.errors import InputError, ParseError, StructureError
 from hpmetric.graphs import TransitionMatrix, WeightedDigraph
 from hpmetric.quotient import OrderedClass, QuotientChain, SegmentLabeling
+from hpmetric.rng import stream
 
 
 def oracle_hitting_probability(P: np.ndarray, i: int, j: int) -> float:
@@ -152,12 +155,34 @@ def oracle_one_median(D: np.ndarray) -> int:
     return int(np.argmin(D.sum(axis=0)))
 
 
+@functools.cache
+def _permutation_cells(k: int) -> np.ndarray:
+    """Row-major indices into a k x k matrix of the cells (r, perm[r]), one
+    row for each of the k! permutations."""
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    return np.arange(k) * k + perms
+
+
 def oracle_purity(labels, truth, k) -> float:
-    best = 0.0
-    for perm in itertools.permutations(range(k)):
-        matched = sum(1 for a, b in zip(labels, truth) if perm[a] == b)
-        best = max(best, matched / len(truth))
-    return best
+    """Best agreement over all k! relabelings of labels in range(k), by
+    enumeration, against truth in range(k)."""
+    conf = np.zeros(k * k, dtype=np.int64)
+    np.add.at(conf, np.asarray(labels) * k + np.asarray(truth), 1)
+    return float(conf[_permutation_cells(k)].sum(axis=1).max() / len(truth))
+
+
+def oracle_p_value(accuracy, n, k, trials, seed) -> float:
+    """hpmetric.clustering.empirical_p_value by one draw and one
+    oracle_purity per trial."""
+    truth = np.repeat(np.arange(k), n // k)
+    if truth.size < n:
+        truth = np.concatenate([truth, np.arange(n - truth.size) % k])
+    rng = stream(seed, 0)
+    at_least = 0
+    for _ in range(trials):
+        if oracle_purity(rng.integers(0, k, size=n), truth, k) >= accuracy:
+            at_least += 1
+    return (at_least + 1) / (trials + 1)
 
 
 def _first_members_reached(adj, source: int, member_set: frozenset) -> set:

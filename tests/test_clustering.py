@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hpmetric import clustering
 from hpmetric.clustering import (empirical_p_value, kmeans, kmedoids, pca_embed,
                                  purity_accuracy)
 from hpmetric.errors import InputError
@@ -10,7 +13,7 @@ from hpmetric.hitting import hitting_fast
 from hpmetric.metric import hp_distance, hp_similarity
 from hpmetric.stationary import stationary_distribution
 
-from oracles import oracle_best_two_partition, oracle_one_median, oracle_purity
+from oracles import oracle_best_two_partition, oracle_one_median, oracle_p_value, oracle_purity
 
 
 class TestPca:
@@ -156,11 +159,17 @@ class TestPurity:
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            truth = rng.integers(0, 4, size=30)
-            labels = rng.integers(0, 4, size=30)
-            assert purity_accuracy(labels, truth) == pytest.approx(
-                oracle_purity(labels, truth, 4))
+        for k in range(1, 9):
+            for _ in range(12):
+                sides = [k, int(rng.integers(1, k + 1))]
+                rng.shuffle(sides)
+                labels = rng.integers(0, sides[0], size=int(rng.integers(1, 40)))
+                truth = rng.integers(0, sides[1], size=labels.size)
+                assert purity_accuracy(labels, truth) == oracle_purity(labels, truth, k)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InputError):
+            purity_accuracy([], [])
 
     def test_too_many_labels_rejected(self):
         with pytest.raises(InputError):
@@ -193,3 +202,36 @@ class TestEmpiricalPValue:
         b = empirical_p_value(0.4, 60, 3, trials=300, seed=5)
         assert a == b
 
+    # (k, n, median best agreement of random labelings): accuracies at it and
+    # one node to either side lie in the bulk of the null distribution.
+    @pytest.mark.parametrize("k, n, median", [
+        (1, 61, 61), (1, 90, 90), (2, 61, 33), (2, 90, 48), (3, 61, 25), (3, 90, 36),
+        (5, 61, 20), (5, 90, 27), (8, 61, 18), (8, 90, 24)])
+    def test_matches_per_trial_oracle(self, k, n, median):
+        for agree in (median - 1, median, median + 1):
+            p = empirical_p_value(agree / n, n, k, trials=200, seed=k)
+            assert p == oracle_p_value(agree / n, n, k, trials=200, seed=k)
+            if agree == median and k > 1:
+                assert 1 / 201 < p < 1
+
+    def test_scratch_is_linear_in_n(self):
+        # The labelings are drawn and counted one at a time: a (trials, n)
+        # array of them would be 16 MB here.
+        n, k, trials = 20000, 3, 100
+        tracemalloc.start()
+        try:
+            empirical_p_value(0.34, n, k, trials=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n + 8 * trials * k * k * 2**k
+
+    @pytest.mark.parametrize("n, k, trials", [(30, 0, 10), (30, 9, 10), (30, -1, 10),
+                                              (0, 3, 10), (-5, 3, 10), (30, 3, 0)])
+    def test_bad_arguments_rejected_before_drawing(self, n, k, trials, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(clustering, "stream", no_draws)
+        with pytest.raises(InputError):
+            empirical_p_value(0.5, n, k, trials=trials)

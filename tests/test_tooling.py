@@ -2,7 +2,8 @@
 hpmetric by name and its worker reads result fields: every name must still
 resolve, and every workload call must bind to its callee's signature, or a
 benchmark run fails on a missing attribute or argument.  The last two tests
-pin the command line: its one sidecar writer and its start-up imports."""
+pin the command line: its one sidecar writer and the scipy subpackages that
+it and the library leave unloaded."""
 
 import ast
 import importlib
@@ -201,12 +202,27 @@ def test_cli_writes_sidecars_only_in_main():
                 if isinstance(node, ast.Attribute) and node.attr == "started"]
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    """cli imports clustering, which loads scipy.optimize, only in the
-    subcommands that use it, so every other command starts without it."""
+def test_no_scipy_optimize_special_or_fft_after_imports_and_cluster(tmp_path):
+    """Importing every hpmetric module and running ``cluster --truth`` on a
+    small planted chain loads none of scipy.optimize, scipy.special and
+    scipy.fft: each would add start-up time and memory to every process."""
     src = str(Path(hpmetric.__file__).resolve().parents[1])
-    code = ("import sys, hpmetric.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith(('scipy.optimize', 'hpmetric.clustering'))))")
+    graph, truth = tmp_path / "pp.csv", tmp_path / "truth.csv"
+    code = f"""
+import contextlib, importlib, io, pkgutil, sys
+import hpmetric
+for m in pkgutil.iter_modules(hpmetric.__path__):
+    importlib.import_module("hpmetric." + m.name)
+from hpmetric import cli
+assert cli.main(["generate", "--model", "planted", "--n", "30", "--k", "3", "--p-in", "0.9",
+                 "--p-out", "0.1", "--seed", "1", "--out", {str(graph)!r},
+                 "--truth", {str(truth)!r}]) == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["cluster", "--in", {str(graph)!r}, "--method", "kmedoids-d12", "--k", "3",
+                     "--truth", {str(truth)!r}, "--trials", "50"]) == 0
+print(sorted(m for m in sys.modules
+             if m.startswith(("scipy.optimize", "scipy.special", "scipy.fft"))))
+"""
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
