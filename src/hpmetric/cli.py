@@ -206,6 +206,14 @@ def _distance_matrix(tm, which):
 
 
 def cmd_cluster(args) -> int:
+    if args.k < 1 or args.restarts < 1:
+        raise InputError(f"need k >= 1 and restarts >= 1, got k={args.k}, "
+                         f"restarts={args.restarts}")
+    if args.trials < 1:
+        raise InputError("need at least one trial")
+    truth = _read_truth(args.truth) if args.truth else None
+    if truth is not None and max(args.k, len(set(truth.values()))) > 8:
+        raise InputError("purity matching is limited to k <= 8 labels")
     tm = _load_chain(args)
     if args.method == "kmedoids-d12":
         D = _distance_matrix(tm, "d12")
@@ -223,9 +231,11 @@ def cmd_cluster(args) -> int:
         "accuracy": None,
         "p_value": None,
     }
-    if args.truth:
-        truth = _read_truth(args.truth, tm.labels)
-        acc = purity_accuracy(labels, truth)
+    if truth is not None:
+        missing = [l for l in tm.labels if l not in truth]
+        if missing:
+            raise InputError(f"truth file missing labels, e.g. {missing[0]!r}")
+        acc = purity_accuracy(labels, [truth[l] for l in tm.labels])
         out["accuracy"] = acc
         out["p_value"] = empirical_p_value(acc, tm.n, args.k, trials=args.trials,
                                            seed=args.seed)
@@ -233,7 +243,8 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _read_truth(path, labels):
+def _read_truth(path) -> dict:
+    """label -> community, as listed in a ``label,community`` CSV file."""
     by_label = {}
     with open(path, "rb") as fh:
         for line_number, line in numbered_lines(fh):
@@ -241,18 +252,19 @@ def _read_truth(path, labels):
             if not line or line.startswith("#") or line.startswith("label,"):
                 continue
             lab, _, val = line.rpartition(",")
+            if lab in by_label:
+                raise ParseError(f"label {lab!r} listed twice", line_number)
             try:
                 by_label[lab] = int(val)
             except ValueError:
                 raise ParseError(f"community must be an integer, got {val!r}",
                                  line_number) from None
-    missing = [l for l in labels if l not in by_label]
-    if missing:
-        raise InputError(f"truth file missing labels, e.g. {missing[0]!r}")
-    return [by_label[l] for l in labels]
+    return by_label
 
 
 def cmd_embed(args) -> dict:
+    if args.dims < 1:
+        raise InputError(f"dims={args.dims} must lie between 1 and the number of rows")
     tm = _load_chain(args)
     M = _distance_matrix(tm, args.matrix)
     coords, ratios = pca_embed(M, args.dims)
@@ -269,6 +281,11 @@ def cmd_verify(args) -> int:
         betas = tuple(float(b) for b in args.beta.split(","))
     except ValueError:
         raise InputError(f"--beta must be comma-separated numbers, got {args.beta!r}") from None
+    if args.walks < 1:
+        raise InputError(f"need at least one walk, got {args.walks}")
+    for beta in betas:
+        if not 0.5 <= beta < np.inf:  # also false for NaN
+            raise InputError(f"beta must be finite and >= 0.5, got {beta}")
     tm = _load_chain(args)
     levels = [l.strip() for l in args.levels.split(",") if l.strip()]
     report = run_levels(tm, levels, walks=args.walks, seed=args.seed, betas=betas)

@@ -8,9 +8,9 @@ and relates to the original by explicit bounds.
 
 The first member each node reaches comes from one reverse breadth-first
 search per class member over the support with the members' out-edges cut;
-the commute order and the segments are read off that table.  The bounds are
-checked as whole arrays over pairs, in blocks of rows so that the
-temporaries stay within one n-by-n float64.
+the commute order (a list of members) and the segments (one code per node)
+are read off that table.  The bounds are checked as whole arrays over pairs,
+in blocks of rows so that the temporaries stay within one n-by-n float64.
 """
 
 from __future__ import annotations
@@ -25,20 +25,6 @@ from .errors import StructureError
 from .graphs import TransitionMatrix
 from .metric import DegeneracyReport
 from .stationary import StationaryDistribution
-
-
-@dataclass(frozen=True)
-class OrderedClass:
-    members: list  # commute order starting from the smallest member
-
-
-@dataclass(frozen=True)
-class SegmentLabeling:
-    """For each node outside the class, the index k of the first class member
-    every walk reaches, placing the node between members k-1 and k."""
-
-    members: list
-    labels: dict  # outside node -> k
 
 
 @dataclass(frozen=True)
@@ -76,8 +62,9 @@ def _first_members(P: np.ndarray, members) -> np.ndarray:
     return first
 
 
-def order_class(tm: TransitionMatrix, members) -> OrderedClass:
-    """Recover the cyclic commute order of an equivalence class.
+def order_class(tm: TransitionMatrix, members) -> list:
+    """Recover the cyclic commute order of an equivalence class, as the list
+    of its members starting from the smallest.
 
     Starting from the smallest member, the successor of each member is the
     unique member reachable without passing through any other; a member with
@@ -89,7 +76,7 @@ def order_class(tm: TransitionMatrix, members) -> OrderedClass:
     """
     members = sorted(members)
     if len(members) <= 1:
-        return OrderedClass(members=list(members))
+        return members
     first = _first_members(tm.P, members)
     order = [members[0]]
     while True:
@@ -101,25 +88,27 @@ def order_class(tm: TransitionMatrix, members) -> OrderedClass:
             )
         succ = members[nxt[0]]
         if succ == members[0]:
-            return OrderedClass(members=order)
+            return order
         order.append(succ)
 
 
-def segments(tm: TransitionMatrix, cls: OrderedClass) -> SegmentLabeling:
-    """Assign each outside node the index of the first class member every
-    walk from it must reach."""
-    first = _first_members(tm.P, cls.members)
-    outside = np.flatnonzero(~np.isin(np.arange(tm.n), cls.members))
-    reached = first[outside]
-    counts = reached.sum(axis=1)
+def segments(tm: TransitionMatrix, order) -> np.ndarray:
+    """(n,) intp code of each node under the class with commute order
+    ``order``: a node outside the class gets the index k of the first member
+    every walk from it must reach, placing it between members k-1 and k; a
+    member gets -1 - its position in ``order``."""
+    first = _first_members(tm.P, order)
+    counts = first.sum(axis=1)
+    counts[order] = 1  # only outside nodes must reach exactly one member
     bad = np.flatnonzero(counts != 1)
     if bad.size:
         raise StructureError(
-            f"node {tm.labels[outside[bad[0]]]!r} reaches {counts[bad[0]]} distinct class "
+            f"node {tm.labels[bad[0]]!r} reaches {counts[bad[0]]} distinct class "
             "members first; segments are not well defined"
         )
-    labels = dict(zip(outside.tolist(), reached.argmax(axis=1).tolist()))
-    return SegmentLabeling(members=list(cls.members), labels=labels)
+    codes = first.argmax(axis=1)
+    codes[order] = -1 - np.arange(len(order))
+    return codes
 
 
 def quotient_chain(tm: TransitionMatrix, phi: StationaryDistribution, partition) -> QuotientChain:
@@ -163,27 +152,13 @@ def quotient_from_report(tm: TransitionMatrix, phi: StationaryDistribution,
     return replace(quotient_chain(tm, phi, report.classes), orders=orders)
 
 
-def _codes(n: int, labelings: list) -> np.ndarray:
-    """(n, len(labelings)) int: a node's code under a labeling is its segment
-    index k when it lies outside the class and -1 - position when it is a
-    member.  Two nodes share an absolute segment iff their rows are equal."""
-    codes = np.empty((n, len(labelings)), dtype=np.intp)
-    for t, lab in enumerate(labelings):
-        codes[list(lab.labels), t] = list(lab.labels.values())
-        codes[lab.members, t] = -1 - np.arange(len(lab.members))
-    return codes
-
-
-def _segment_ids(codes: np.ndarray) -> np.ndarray:
-    """Per node, an id shared exactly by the nodes in its absolute segment."""
-    return np.unique(codes, axis=0, return_inverse=True)[1].ravel()
-
-
 def check_quotient_bounds(dist, dist_prime, quotient: QuotientChain,
                           labelings: list, tol: float = 1e-9) -> dict:
     """Verify the distance relations between a chain and its quotient.
 
-    For i, j in distinct classes alpha, beta: if they share an absolute
+    ``labelings`` holds one ``segments`` code array per non-singleton class;
+    two nodes share an absolute segment iff they have the same code in every
+    one.  For i, j in distinct classes alpha, beta: if they share an absolute
     segment, distances agree within ``tol``; otherwise
     D[i, j] < D'[alpha, beta] <= D[i, j] + 0.5*log(|alpha||beta|) + c*log 2
     with c the number of other classes whose segments separate i and j.
@@ -197,8 +172,8 @@ def check_quotient_bounds(dist, dist_prime, quotient: QuotientChain,
     Dp = dist_prime.D
     n = D.shape[0]
     cm = np.asarray(quotient.class_map)
-    codes = _codes(n, labelings)
-    ids = _segment_ids(codes)
+    codes = np.array(labelings, dtype=np.intp).reshape(-1, n)  # also for no classes
+    ids = np.unique(codes.T, axis=0, return_inverse=True)[1].ravel()  # absolute segments
     # 0.5 log(|alpha||beta|), tabled over distinct class sizes: a table over
     # class pairs would be m x m, as large as D when every class is a singleton.
     sizes, size_of = np.unique([len(c) for c in quotient.classes], return_inverse=True)
@@ -225,7 +200,7 @@ def check_quotient_bounds(dist, dist_prime, quotient: QuotientChain,
         err = np.abs(d - dp)
         max_isometry_err = max(max_isometry_err, float(err.max(where=isometric, initial=0.0)))
         c = np.zeros(d.shape, dtype=np.intp)
-        for code in codes.T:
+        for code in codes:
             ci = code[rows, None]
             c += (ci >= 0) & (code >= 0) & (ci != code)
         upper = d + half_log[np.ix_(size_of[rows], size_of)] + c * log2

@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from hpmetric.errors import InputError, ParseError, StructureError
 from hpmetric.graphs import TransitionMatrix, WeightedDigraph
-from hpmetric.quotient import OrderedClass, QuotientChain, SegmentLabeling
+from hpmetric.quotient import QuotientChain
 from hpmetric.rng import stream
 
 
@@ -207,11 +207,11 @@ def _adjacency(P: np.ndarray) -> list:
     return [np.nonzero(P[i] > 0.0)[0].tolist() for i in range(P.shape[0])]
 
 
-def oracle_order_class(tm, members) -> OrderedClass:
+def oracle_order_class(tm, members) -> list:
     """hpmetric.quotient.order_class by one breadth-first search per member."""
     members = sorted(members)
     if len(members) <= 1:
-        return OrderedClass(members=list(members))
+        return members
     adj = _adjacency(tm.P)
     member_set = frozenset(members)
     order = [members[0]]
@@ -229,7 +229,7 @@ def oracle_order_class(tm, members) -> OrderedClass:
                 raise StructureError(
                     "commute order closed before visiting every member"
                 )
-            return OrderedClass(members=order)
+            return order
         if succ in order:
             raise StructureError(
                 f"member {tm.labels[succ]!r} revisited before the cycle closed"
@@ -239,14 +239,15 @@ def oracle_order_class(tm, members) -> OrderedClass:
     raise StructureError("commute order failed to close")
 
 
-def oracle_segments(tm, cls) -> SegmentLabeling:
+def oracle_segments(tm, order) -> np.ndarray:
     """hpmetric.quotient.segments by one breadth-first search per outside node."""
     adj = _adjacency(tm.P)
-    member_set = frozenset(cls.members)
-    position = {m: k for k, m in enumerate(cls.members)}
-    labels = {}
+    member_set = frozenset(order)
+    position = {m: k for k, m in enumerate(order)}
+    codes = np.empty(tm.n, dtype=np.intp)
     for node in range(tm.n):
         if node in member_set:
+            codes[node] = -1 - position[node]
             continue
         reached = _first_members_reached(adj, node, member_set)
         if len(reached) != 1:
@@ -255,18 +256,12 @@ def oracle_segments(tm, cls) -> SegmentLabeling:
                 "members first; segments are not well defined"
             )
         (m,) = reached
-        labels[node] = position[m]
-    return SegmentLabeling(members=list(cls.members), labels=labels)
+        codes[node] = position[m]
+    return codes
 
 
 def _segment_signature(node: int, labelings: list) -> tuple:
-    sig = []
-    for lab in labelings:
-        if node in lab.labels:
-            sig.append(("s", lab.labels[node]))
-        else:
-            sig.append(("m", lab.members.index(node)))
-    return tuple(sig)
+    return tuple(int(codes[node]) for codes in labelings)
 
 
 def oracle_quotient_bounds(dist, dist_prime, quotient, labelings: list,
@@ -279,7 +274,6 @@ def oracle_quotient_bounds(dist, dist_prime, quotient, labelings: list,
     n = D.shape[0]
 
     sigs = [_segment_signature(i, labelings) for i in range(n)]
-    member_sets = [frozenset(lab.members) for lab in labelings]
 
     violations = []
     max_isometry_err = 0.0
@@ -301,10 +295,10 @@ def oracle_quotient_bounds(dist, dist_prime, quotient, labelings: list,
                     violations.append((i, j, "isometry", err))
                 continue
             c = 0
-            for lab, mset in zip(labelings, member_sets):
-                if i in mset or j in mset:
+            for codes in labelings:
+                if codes[i] < 0 or codes[j] < 0:  # a member of the class
                     continue
-                if lab.labels[i] != lab.labels[j]:
+                if codes[i] != codes[j]:
                     c += 1
             upper = d + 0.5 * np.log(sizes[a] * sizes[b]) + c * log2
             if not dp > d:

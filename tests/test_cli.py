@@ -55,6 +55,19 @@ SPECIAL = np.array([[0.0, -0.0, np.inf, -np.inf],
                     [3.0, 0.1, -2.5e-310, 1.0 / 3.0]])
 
 
+def count_hitting_calls(monkeypatch) -> list:
+    """Record the size of every chain that the CLI or verify passes to hitting_fast."""
+    calls = []
+
+    def counting(tm):
+        calls.append(tm.n)
+        return hitting_fast(tm)
+
+    monkeypatch.setattr("hpmetric.cli.hitting_fast", counting)
+    monkeypatch.setattr("hpmetric.verify.hitting_fast", counting)
+    return calls
+
+
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -854,15 +867,61 @@ class TestVerifyAndExitCodes:
     @pytest.mark.parametrize("bad_line, message", [
         (b"b2,x", "community must be an integer, got 'x'"),
         (b"b2,\xff", "not UTF-8: invalid start byte"),
-    ], ids=["not-integer", "not-utf8"])
-    def test_bad_truth_file_exit_2(self, glued_csv, tmp_path, capsys, bad_line, message):
+        (b"b1,1", "label 'b1' listed twice"),
+    ], ids=["not-integer", "not-utf8", "label-twice"])
+    def test_bad_truth_file_exit_2(self, glued_csv, tmp_path, capsys, monkeypatch, bad_line,
+                                   message):
+        calls = count_hitting_calls(monkeypatch)
         truth = tmp_path / "truth.csv"
         truth.write_bytes(b"label,community\nb1,0\n" + bad_line + b"\n")
-        assert main(["cluster", "--in", str(glued_csv), "--method", "pca-kmeans-A",
+        assert main(["cluster", "--in", str(glued_csv), "--method", "kmedoids-d12",
                      "--k", "2", "--truth", str(truth)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: line 3: {message}"]
+        assert calls == []  # the truth file is read before the chain
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cluster", "--method", "kmedoids-d12", "--k", "0"],
+         "need k >= 1 and restarts >= 1, got k=0, restarts=5"),
+        (["cluster", "--method", "kmedoids-d12", "--k", "2", "--restarts", "0"],
+         "need k >= 1 and restarts >= 1, got k=2, restarts=0"),
+        (["cluster", "--method", "kmedoids-d12", "--k", "2", "--truth", "TRUTH",
+          "--trials", "0"], "need at least one trial"),
+        (["cluster", "--method", "kmedoids-d12", "--k", "9", "--truth", "TRUTH"],
+         "purity matching is limited to k <= 8 labels"),
+        (["cluster", "--method", "kmedoids-d12", "--k", "2", "--truth", "NINE"],
+         "purity matching is limited to k <= 8 labels"),
+        (["embed", "--matrix", "d12", "--dims", "0", "--out", "OUT"],
+         "dims=0 must lie between 1 and the number of rows"),
+        (["verify", "--levels", "identity", "--walks", "0"], "need at least one walk, got 0"),
+        (["verify", "--levels", "identity", "--beta", "0.5,0.3"],
+         "beta must be finite and >= 0.5, got 0.3"),
+    ], ids=["k-0", "restarts-0", "trials-0", "k-9-with-truth", "nine-communities",
+            "dims-0", "verify-walks-0", "verify-beta-below-half"])
+    def test_counts_checked_before_the_chain(self, argv, message, glued_csv, tmp_path,
+                                             capsys, monkeypatch):
+        labels = load_edge_list(glued_csv.read_bytes()).labels
+        for name, communities in (("TRUTH", 2), ("NINE", 9)):
+            write_column_csv(tmp_path / name, labels,
+                             {"community": [t % communities for t in range(len(labels))]})
+        calls = count_hitting_calls(monkeypatch)
+        paths = {"TRUTH": str(tmp_path / "TRUTH"), "NINE": str(tmp_path / "NINE"),
+                 "OUT": str(tmp_path / "out.csv")}
+        assert main([argv[0], "--in", str(glued_csv)] + [paths.get(a, a) for a in argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert calls == []
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_truth_missing_labels_reported_after_the_chain(self, glued_csv, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("label,community\nb1,0\nb2,1\n")
+        assert main(["cluster", "--in", str(glued_csv), "--method", "pca-kmeans-A",
+                     "--k", "2", "--truth", str(truth)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: truth file missing labels, e.g. 'b3'"]
 
     def test_matrix_market_input(self, tmp_path):
         mm = tmp_path / "g.mtx"

@@ -11,7 +11,7 @@ from hpmetric.generators import GluedCyclesSpec, gen_er_cycle, gen_glued_cycles
 from hpmetric.graphs import largest_scc, make_digraph, row_normalize
 from hpmetric.hitting import hitting_fast
 from hpmetric.metric import degenerate_pairs, hp_distance, hp_similarity
-from hpmetric.quotient import (OrderedClass, check_quotient_bounds, order_class, quotient_chain,
+from hpmetric.quotient import (check_quotient_bounds, order_class, quotient_chain,
                                quotient_from_report, segments)
 from hpmetric.rng import stream
 from hpmetric.stationary import StationaryDistribution, stationary_distribution
@@ -55,17 +55,14 @@ def degeneracy_pipeline(tm):
 class TestOrderClass:
     def test_directed_cycle_order(self):
         tm = directed_cycle(4)
-        oc = order_class(tm, [0, 1, 2, 3])
-        assert oc.members == [0, 1, 2, 3]
+        assert order_class(tm, [0, 1, 2, 3]) == [0, 1, 2, 3]
 
     def test_backbone_chain_order(self, glued_342):
-        oc = order_class(glued_342, [0, 1, 2])
-        assert oc.members == [0, 1, 2]
+        assert order_class(glued_342, [0, 1, 2]) == [0, 1, 2]
 
     def test_gadget_two_node_class(self):
         tm, idx = collapse_gadget()
-        oc = order_class(tm, [idx["a"], idx["b"]])
-        assert oc.members == [idx["a"], idx["b"]]
+        assert order_class(tm, [idx["a"], idx["b"]]) == [idx["a"], idx["b"]]
 
     def test_non_class_rejected(self, k3):
         with pytest.raises(StructureError):
@@ -74,22 +71,22 @@ class TestOrderClass:
 
 class TestSegments:
     def test_glued_backbone_segments(self, glued_342):
-        oc = order_class(glued_342, [0, 1, 2])
-        seg = segments(glued_342, oc)
-        # Every branch node first reaches b1 (= member 0): one shared segment.
-        assert set(seg.labels) == set(range(3, 11))
-        assert set(seg.labels.values()) == {0}
+        seg = segments(glued_342, order_class(glued_342, [0, 1, 2]))
+        assert seg.dtype == np.intp
+        # Members are coded -1 - position; every branch node first reaches
+        # b1 (= member 0): one shared segment.
+        assert seg.tolist() == [-1, -2, -3] + [0] * 8
 
     def test_cycle_has_no_outside_nodes(self):
         tm = directed_cycle(5)
         seg = segments(tm, order_class(tm, list(range(5))))
-        assert seg.labels == {}
+        assert seg.tolist() == [-1, -2, -3, -4, -5]
 
     def test_gadget_segments(self):
         tm, idx = collapse_gadget()
         seg = segments(tm, order_class(tm, [idx["a"], idx["b"]]))
-        assert seg.labels[idx["j"]] == 1  # between a and b
-        assert seg.labels[idx["i"]] == 0  # between b and a
+        assert seg[idx["j"]] == 1  # between a and b
+        assert seg[idx["i"]] == 0  # between b and a
 
 
 class TestQuotientChain:
@@ -341,11 +338,13 @@ class TestAgainstOracles:
             assert got == outcome(oracle_order_class, tm, members), members
             raised += isinstance(got, str)
             # segments in commute order when there is one, else in draw order
-            cls = got if isinstance(got, OrderedClass) else OrderedClass(members=members)
-            got = outcome(segments, tm, cls)
-            assert got == outcome(oracle_segments, tm, cls), cls.members
-            if not isinstance(got, str):
-                assert all(type(k) is int for k in got.labels.values())
+            order = members if isinstance(got, str) else got
+            got = outcome(segments, tm, order)
+            want = outcome(oracle_segments, tm, order)
+            if isinstance(got, str) or isinstance(want, str):
+                assert got == want, order
+            else:
+                assert (got.dtype, got.tolist()) == (want.dtype, want.tolist()), order
         assert raised > 0
 
     @pytest.mark.parametrize("tol", [1e-9, -1.0])  # below zero, one pair can fail twice

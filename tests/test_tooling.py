@@ -1,9 +1,10 @@
 """The benchmark's tracer wraps hpmetric functions by name, its workloads call
 hpmetric by name and its worker reads result fields: every name must still
 resolve, and every workload call must bind to its callee's signature, or a
-benchmark run fails on a missing attribute or argument.  The last two tests
-pin the command line: its one sidecar writer and the scipy subpackages that
-it and the library leave unloaded."""
+benchmark run fails on a missing attribute or argument.  Each workload, built
+small, must also pass its own output check.  The last two tests pin the
+command line: its one sidecar writer and the scipy subpackages that it and
+the library leave unloaded."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import inspect
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -133,6 +135,23 @@ def test_workload_calls_bind(mod, name):
             signature.bind(*range(len(call.args)), **{k.arg: None for k in call.keywords})
         except TypeError as exc:
             pytest.fail(f"workloads.py line {call.lineno}: {name}{signature}: {exc}")
+
+
+def test_smoke_workloads_pass_their_checks(tmp_path, monkeypatch):
+    """Each workload with ``smoke=True`` runs its operation on every input and
+    its check finds no error.  A changed return type that the workloads pass
+    from one library call to the next fails here; the AST checks above see
+    only names and signatures."""
+    monkeypatch.syspath_prepend(str(WORKLOADS.parent))
+    built = importlib.import_module("workloads").WORKLOADS
+    assert built
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # as the worker does
+        for name, make in built.items():
+            (tmp_path / name).mkdir()
+            wl = make(0, True, tmp_path / name, lambda *note: None)
+            for index, inp in enumerate(wl.inputs):
+                assert wl.check(index, wl.op(inp)) == [], (name, index)
 
 
 @pytest.mark.parametrize("field", ["smw_fallbacks", "used_reference"])
