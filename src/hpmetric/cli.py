@@ -3,7 +3,8 @@
 Subcommands: stationary, hitprob, metric, quotient, symmetrize, fiedler,
 generate, cluster, embed, verify.  Exit codes: 0 success, 1 verification
 failure, 2 input/domain error or unreadable file (output files that the
-command created are removed again), 3 numerical failure.
+command created are removed again), 3 numerical failure.  Every check that
+needs only the flags is a row of ``FLAG_CHECKS``, run before any file is read.
 
 The BLAS thread count comes from the BLAS library's own environment
 variables (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS), set
@@ -13,6 +14,7 @@ before the process starts; with one thread, reruns are bit-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -76,10 +78,6 @@ def cmd_stationary(args) -> dict:
 
 
 def cmd_hitprob(args) -> dict | int:
-    if bool(args.mc) == bool(args.out):
-        raise InputError("hitprob needs exactly one of --out and --mc I J")
-    if args.mc and args.reference:
-        raise InputError("hitprob --reference needs --out, not --mc I J")
     tm = _load_chain(args)
     if args.mc:
         src, dst = args.mc
@@ -206,11 +204,6 @@ def _distance_matrix(tm, which):
 
 
 def cmd_cluster(args) -> int:
-    if args.k < 1 or args.restarts < 1:
-        raise InputError(f"need k >= 1 and restarts >= 1, got k={args.k}, "
-                         f"restarts={args.restarts}")
-    if args.trials < 1:
-        raise InputError("need at least one trial")
     truth = _read_truth(args.truth) if args.truth else None
     if truth is not None and max(args.k, len(set(truth.values()))) > 8:
         raise InputError("purity matching is limited to k <= 8 labels")
@@ -263,11 +256,8 @@ def _read_truth(path) -> dict:
 
 
 def cmd_embed(args) -> dict:
-    if args.dims < 1:
-        raise InputError(f"dims={args.dims} must lie between 1 and the number of rows")
     tm = _load_chain(args)
-    M = _distance_matrix(tm, args.matrix)
-    coords, ratios = pca_embed(M, args.dims)
+    coords, ratios = pca_embed(_distance_matrix(tm, args.matrix), args.dims)
     cols = {f"pc{c + 1}": coords[:, c] for c in range(args.dims)}
     write_column_csv(args.out, tm.labels, cols)
     return {"input": args.input, "matrix": args.matrix, "dims": args.dims,
@@ -275,20 +265,9 @@ def cmd_embed(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if bool(args.input) == bool(args.model):
-        raise InputError("verify needs exactly one of --in and --model")
-    try:
-        betas = tuple(float(b) for b in args.beta.split(","))
-    except ValueError:
-        raise InputError(f"--beta must be comma-separated numbers, got {args.beta!r}") from None
-    if args.walks < 1:
-        raise InputError(f"need at least one walk, got {args.walks}")
-    for beta in betas:
-        if not 0.5 <= beta < np.inf:  # also false for NaN
-            raise InputError(f"beta must be finite and >= 0.5, got {beta}")
     tm = _load_chain(args)
     levels = [l.strip() for l in args.levels.split(",") if l.strip()]
-    report = run_levels(tm, levels, walks=args.walks, seed=args.seed, betas=betas)
+    report = run_levels(tm, levels, walks=args.walks, seed=args.seed, betas=args.beta)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -393,12 +372,47 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# (dests, holds, message): on every command whose flags include all the dests,
+# holds(*values) must be true; a tuple (verify's betas) is checked item by item.
+FLAG_CHECKS = (
+    (("input", "model"), lambda i, m: bool(i) != bool(m),
+     "verify needs exactly one of --in and --model"),
+    (("out", "mc"), lambda out, mc: bool(out) != bool(mc),
+     "hitprob needs exactly one of --out and --mc I J"),
+    (("mc", "reference"), lambda mc, ref: not (mc and ref),
+     "hitprob --reference needs --out, not --mc I J"),
+    (("k", "restarts"), lambda k, r: k >= 1 and r >= 1,
+     "need k >= 1 and restarts >= 1, got k={k}, restarts={restarts}"),
+    (("trials",), lambda t: t >= 1, "need at least one trial"),
+    (("dims",), lambda d: d >= 1, "dims={dims} must lie between 1 and the number of rows"),
+    (("walks",), lambda w: w >= 1, "need at least one walk, got {walks}"),
+    (("method", "beta"), lambda method, b: method != "hp" or b is not None,
+     "the hp symmetrization requires a beta"),
+    (("beta",), lambda b: b is None or 0.5 <= b < np.inf,  # also false for NaN
+     "beta must be finite and >= 0.5, got {beta}"),
+)
+
+
+def _check_flags(args):
+    if args.command == "verify":
+        try:
+            args.beta = tuple(float(b) for b in args.beta.split(","))
+        except ValueError:
+            raise InputError(f"--beta must be comma-separated numbers, got {args.beta!r}") from None
+    for dests, holds, message in FLAG_CHECKS:
+        given = (getattr(args, d, ()) for d in dests)  # a missing dest leaves nothing to check
+        for values in itertools.product(*(v if isinstance(v, tuple) else (v,) for v in given)):
+            if not holds(*values):
+                raise InputError(message.format(**dict(zip(dests, values))))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     outputs = [getattr(args, k, None) for k in getattr(args, "outputs", ("out",))]
     new = [f for p in outputs if p for f in (Path(p), meta_path(p)) if not f.exists()]
     try:
+        _check_flags(args)
         meta = args.func(args)
         if isinstance(meta, int):  # a command that only prints returns its exit code
             return meta

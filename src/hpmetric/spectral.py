@@ -64,7 +64,6 @@ class SymmetricOperator:
 
     kind: str
     M: np.ndarray
-    beta: float = None
 
 
 def symmetrize(tm: TransitionMatrix, phi: StationaryDistribution, kind: str,
@@ -77,6 +76,8 @@ def symmetrize(tm: TransitionMatrix, phi: StationaryDistribution, kind: str,
         return SymmetricOperator(kind=kind, M=(P + P.T) / 2.0)
     if kind == "max":
         return SymmetricOperator(kind=kind, M=np.maximum(P, P.T))
+    if kind == "hp" and beta is None:
+        raise InputError("the hp symmetrization requires a beta")
     phi = stationary_distribution(tm) if phi is None else phi
     if kind == "chung":
         # I - (T + T^T) / 2 with T = Phi^{1/2} P Phi^{-1/2}, in two n x n
@@ -89,10 +90,7 @@ def symmetrize(tm: TransitionMatrix, phi: StationaryDistribution, kind: str,
         np.subtract(0.0, L, out=L)
         L.flat[:: tm.n + 1] += 1.0
         return SymmetricOperator(kind=kind, M=L)
-    if beta is None:
-        raise InputError("the hp symmetrization requires a beta")
-    sim = hp_similarity(hitting_fast(tm), phi, beta)
-    return SymmetricOperator(kind=kind, M=sim.A, beta=beta)
+    return SymmetricOperator(kind=kind, M=hp_similarity(hitting_fast(tm), phi, beta).A)
 
 
 def laplacian(M: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hpmetric
-from hpmetric import files
+from hpmetric import cli, files
 from hpmetric.cli import build_parser, main
 from hpmetric.clustering import pca_embed
 from hpmetric.errors import NumericalError, ParseError
@@ -897,8 +897,23 @@ class TestVerifyAndExitCodes:
         (["verify", "--levels", "identity", "--walks", "0"], "need at least one walk, got 0"),
         (["verify", "--levels", "identity", "--beta", "0.5,0.3"],
          "beta must be finite and >= 0.5, got 0.3"),
+        (["metric", "--beta", "0.3", "--out", "OUT"], "beta must be finite and >= 0.5, got 0.3"),
+        (["metric", "--beta", "nan", "--out", "OUT"], "beta must be finite and >= 0.5, got nan"),
+        (["symmetrize", "--method", "hp", "--beta", "0.3", "--out", "OUT"],
+         "beta must be finite and >= 0.5, got 0.3"),
+        (["symmetrize", "--method", "hp", "--out", "OUT"],
+         "the hp symmetrization requires a beta"),
+        (["fiedler", "--method", "hp", "--beta", "0.3", "--out", "OUT"],
+         "beta must be finite and >= 0.5, got 0.3"),
+        (["hitprob", "--mc", "b1", "c1_1", "--walks", "0"], "need at least one walk, got 0"),
+        (["hitprob", "--out", "OUT", "--walks", "0"], "need at least one walk, got 0"),
+        (["symmetrize", "--method", "additive", "--beta", "0.3", "--out", "OUT"],
+         "beta must be finite and >= 0.5, got 0.3"),
     ], ids=["k-0", "restarts-0", "trials-0", "k-9-with-truth", "nine-communities",
-            "dims-0", "verify-walks-0", "verify-beta-below-half"])
+            "dims-0", "verify-walks-0", "verify-beta-below-half", "metric-beta-below-half",
+            "metric-beta-nan", "symmetrize-beta-below-half", "symmetrize-hp-no-beta",
+            "fiedler-beta-below-half", "hitprob-mc-walks-0", "hitprob-out-walks-0",
+            "additive-beta-below-half"])
     def test_counts_checked_before_the_chain(self, argv, message, glued_csv, tmp_path,
                                              capsys, monkeypatch):
         labels = load_edge_list(glued_csv.read_bytes()).labels
@@ -906,13 +921,16 @@ class TestVerifyAndExitCodes:
             write_column_csv(tmp_path / name, labels,
                              {"community": [t % communities for t in range(len(labels))]})
         calls = count_hitting_calls(monkeypatch)
+        loads = []
+        load_chain = cli._load_chain
+        monkeypatch.setattr(cli, "_load_chain", lambda args: loads.append(args) or load_chain(args))
         paths = {"TRUTH": str(tmp_path / "TRUTH"), "NINE": str(tmp_path / "NINE"),
                  "OUT": str(tmp_path / "out.csv")}
         assert main([argv[0], "--in", str(glued_csv)] + [paths.get(a, a) for a in argv[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
-        assert calls == []
+        assert calls == [] and loads == []
         assert not (tmp_path / "out.csv").exists()
 
     def test_truth_missing_labels_reported_after_the_chain(self, glued_csv, tmp_path, capsys):

@@ -113,6 +113,11 @@ class TestSymmetrize:
         with pytest.raises(InputError):
             symmetrize(glued_342, phi, "hp")
 
+    def test_hp_without_beta_solves_no_phi(self, glued_342):
+        with pytest.raises(InputError, match="requires a beta"):
+            symmetrize(glued_342, None, "hp")
+        assert glued_342._memo == {}
+
     @pytest.mark.parametrize("kind", ["additive", "max"])
     def test_kinds_that_read_no_phi_solve_none(self, kind, monkeypatch, glued_342):
         want = symmetrize(glued_342, stationary_distribution(glued_342), kind).M

@@ -2,10 +2,12 @@
 hpmetric by name and its worker reads result fields: every name must still
 resolve, and every workload call must bind to its callee's signature, or a
 benchmark run fails on a missing attribute or argument.  Each workload, built
-small, must also pass its own output check.  The last two tests pin the
-command line: its one sidecar writer and the scipy subpackages that it and
-the library leave unloaded."""
+small, must also pass its own output check.  Three tests pin the command
+line: its one sidecar writer, a flag-check table with no dead rows, and the
+scipy subpackages that it and the library leave unloaded.  The last two pin
+the one factorization of G."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import hpmetric
+from hpmetric.cli import FLAG_CHECKS, build_parser
 from hpmetric.hitting import HittingProbabilities
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -219,6 +222,15 @@ def test_cli_writes_sidecars_only_in_main():
     assert not [fn.name for fn in functions if fn.name.startswith("cmd_")
                 for node in ast.walk(fn)
                 if isinstance(node, ast.Attribute) and node.attr == "started"]
+
+
+def test_every_flag_check_applies_to_some_command():
+    """Each FLAG_CHECKS row names dests that one subcommand has all of: a row
+    with a misspelt dest would apply to no command and check nothing."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = [{a.dest for a in p._actions} for p in sub.choices.values()]
+    dead = [dests for dests, _, _ in FLAG_CHECKS if not any(set(dests) <= c for c in commands)]
+    assert dead == []
 
 
 def test_no_scipy_optimize_special_or_fft_after_imports_and_cluster(tmp_path):
