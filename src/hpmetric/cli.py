@@ -34,7 +34,7 @@ from .metric import degenerate_pairs, hp_distance, hp_similarity
 from .quotient import quotient_from_report
 from .spectral import KINDS, fiedler_vector, operator_laplacian, symmetrize
 from .stationary import stationary_distribution
-from .verify import run_levels
+from .verify import LEVELS, run_levels
 
 
 def _load_chain(args):
@@ -266,8 +266,7 @@ def cmd_embed(args) -> dict:
 
 def cmd_verify(args) -> int:
     tm = _load_chain(args)
-    levels = [l.strip() for l in args.levels.split(",") if l.strip()]
-    report = run_levels(tm, levels, walks=args.walks, seed=args.seed, betas=args.beta)
+    report = run_levels(tm, args.levels, walks=args.walks, seed=args.seed, betas=args.beta)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -373,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # (dests, holds, message): on every command whose flags include all the dests,
-# holds(*values) must be true; a tuple (verify's betas) is checked item by item.
+# holds(*values) must be true; a tuple (verify's betas) is checked item by item,
+# a list (verify's levels) as a whole.
 FLAG_CHECKS = (
     (("input", "model"), lambda i, m: bool(i) != bool(m),
      "verify needs exactly one of --in and --model"),
@@ -390,11 +390,14 @@ FLAG_CHECKS = (
      "the hp symmetrization requires a beta"),
     (("beta",), lambda b: b is None or 0.5 <= b < np.inf,  # also false for NaN
      "beta must be finite and >= 0.5, got {beta}"),
+    (("levels",), lambda levels: levels and set(levels) <= set(LEVELS),
+     f"verification levels must be some of {', '.join(LEVELS)}, got {{levels}}"),
 )
 
 
 def _check_flags(args):
     if args.command == "verify":
+        args.levels = [level.strip() for level in args.levels.split(",") if level.strip()]
         try:
             args.beta = tuple(float(b) for b in args.beta.split(","))
         except ValueError:

@@ -208,9 +208,14 @@ def degenerate_pairs(Q, phi: StationaryDistribution) -> DegeneracyReport:
     inaccurate).
     """
     Qm = _q_matrix(Q)
-    ones = Qm == 1.0
-    # The relation is symmetric, so its strong components are the connected ones.
-    classes = sorted(strongly_connected_components(ones & ones.T), key=lambda c: c[0])
+    related = Qm == 1.0
+    related &= related.T
+    np.fill_diagonal(related, False)
+    if not related.any():
+        classes = [[k] for k in range(Qm.shape[0])]
+    else:
+        # The relation is symmetric, so its strong components are the connected ones.
+        classes = sorted(strongly_connected_components(related), key=lambda c: c[0])
 
     p = phi.phi
     for cls in classes:

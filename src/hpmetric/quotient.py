@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import StructureError
-from .graphs import TransitionMatrix
+from .graphs import TransitionMatrix, _nonzero_csr
 from .metric import DegeneracyReport
 from .stationary import StationaryDistribution
 
@@ -48,11 +48,12 @@ def _first_members(P: np.ndarray, members) -> np.ndarray:
     every node with a member-free path into it; member rows then take one
     more step through their own out-edges.
     """
-    into = P.T > 0.0  # into[w, v]: the edge v -> w, reversed
-    into[:, members] = False
-    # float64 CSR is csgraph's own format, so it is not converted again.
-    dist = csgraph.shortest_path(sp.csr_matrix(into, dtype=float), unweighted=True,
-                                 indices=members)
+    into = _nonzero_csr(P.T)  # into[w, v]: the edge v -> w, reversed
+    cut = np.zeros(P.shape[0], dtype=bool)
+    cut[members] = True
+    into.data[cut[into.indices]] = 0.0  # the members' out-edges
+    into.eliminate_zeros()
+    dist = csgraph.shortest_path(into, unweighted=True, indices=members)
     first = np.isfinite(dist.T)  # member rows: only the member itself
     # Each member row becomes the OR of its out-neighbours' rows; every row
     # of a stochastic P has at least one out-edge, so no group is empty.

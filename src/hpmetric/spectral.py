@@ -96,12 +96,15 @@ def symmetrize(tm: TransitionMatrix, phi: StationaryDistribution, kind: str,
 def laplacian(M: np.ndarray) -> np.ndarray:
     """L = D - M for a symmetric nonnegative adjacency M."""
     M = np.asarray(M, dtype=float)
+    lo, hi = M.min(), M.max()  # a NaN makes both NaN, and fails every comparison below
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise InputError("adjacency entries must be finite")
     # |M - M^T| a tile and its mirror at a time, so the only n x n is L.
     asym = max((np.abs(M[rows, cols] - M[cols, rows].T).max()
                 for rows, cols in mirror_tiles(M.shape[0])), default=0.0)
     if asym > 1e-10:
         raise InputError("adjacency must be symmetric")
-    if M.min() < 0:
+    if lo < 0:
         raise InputError("adjacency must be nonnegative")
     L = np.subtract(0.0, M)
     L.flat[:: M.shape[0] + 1] += M.sum(axis=1)

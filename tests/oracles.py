@@ -21,7 +21,9 @@ in numpy, and the hp similarity and the chung Laplacian are whole-matrix
 expressions with their n x n temporaries rather than symmetrized tile by
 tile in place or built in two buffers, and the quotient chain multiplies by
 a dense n x m class indicator filled one state at a time rather than
-summing over classes with a sparse one.
+summing over classes with a sparse one, and strong components come from
+scipy's general dense-to-sparse conversion rather than a CSR read straight
+off the nonzeros.
 """
 
 import functools
@@ -33,6 +35,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from hpmetric.errors import InputError, ParseError, StructureError
 from hpmetric.graphs import TransitionMatrix, WeightedDigraph
@@ -183,6 +186,16 @@ def oracle_p_value(accuracy, n, k, trials, seed) -> float:
         if oracle_purity(rng.integers(0, k, size=n), truth, k) >= accuracy:
             at_least += 1
     return (at_least + 1) / (trials + 1)
+
+
+def oracle_strongly_connected_components(support) -> list:
+    """Strong components as lists of sorted indices, in csgraph's label order,
+    with the support converted by ``sp.csr_matrix`` whether dense or sparse."""
+    count, labels = connected_components(sp.csr_matrix(support), directed=True,
+                                         connection="strong")
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=count)).tolist()
+    return [order[start:end] for start, end in zip([0, *ends[:-1]], ends)]
 
 
 def _first_members_reached(adj, source: int, member_set: frozenset) -> set:

@@ -909,11 +909,15 @@ class TestVerifyAndExitCodes:
         (["hitprob", "--out", "OUT", "--walks", "0"], "need at least one walk, got 0"),
         (["symmetrize", "--method", "additive", "--beta", "0.3", "--out", "OUT"],
          "beta must be finite and >= 0.5, got 0.3"),
+        (["verify", "--levels", "bogus"], "verification levels must be some of "
+         "identity, metric, quotient, oracle, got ['bogus']"),
+        (["verify", "--levels", ","], "verification levels must be some of "
+         "identity, metric, quotient, oracle, got []"),
     ], ids=["k-0", "restarts-0", "trials-0", "k-9-with-truth", "nine-communities",
             "dims-0", "verify-walks-0", "verify-beta-below-half", "metric-beta-below-half",
             "metric-beta-nan", "symmetrize-beta-below-half", "symmetrize-hp-no-beta",
             "fiedler-beta-below-half", "hitprob-mc-walks-0", "hitprob-out-walks-0",
-            "additive-beta-below-half"])
+            "additive-beta-below-half", "verify-levels-bogus", "verify-levels-empty"])
     def test_counts_checked_before_the_chain(self, argv, message, glued_csv, tmp_path,
                                              capsys, monkeypatch):
         labels = load_edge_list(glued_csv.read_bytes()).labels

@@ -284,6 +284,23 @@ class TestDegeneracy:
         with pytest.raises(StructureError):
             degenerate_pairs(Q, phi)
 
+    @pytest.mark.parametrize("mutual, classes", [(1.0, [[0, 1], [2], [3]]),
+                                                 (0.5, [[0], [1], [2], [3]])])
+    def test_only_mutual_ones_relate(self, mutual, classes):
+        # Q[2, 3] = 1.0 is one-way and the diagonal is all ones: neither
+        # relates a pair.  Without the mutual pair 0 ~ 1 every class is a
+        # singleton.
+        Q = np.array([
+            [1.0, 1.0, 0.3, 0.2],
+            [mutual, 1.0, 0.4, 0.1],
+            [0.5, 0.6, 1.0, 1.0],
+            [0.7, 0.2, 0.9, 1.0],
+        ])
+        phi = StationaryDistribution(phi=np.array([0.3, 0.3, 0.2, 0.2]))
+        rep = degenerate_pairs(Q, phi)
+        assert rep.classes == classes
+        assert rep.degenerate == (mutual == 1.0)
+
     def test_phi_spread_in_a_class_is_numerical(self):
         Q = np.array([[0.0, 1.0], [1.0, 0.0]])
         phi = StationaryDistribution(phi=np.array([0.5 - 1e-6, 0.5 + 1e-6]))

@@ -164,6 +164,14 @@ class TestLaplacian:
         with pytest.raises(InputError):
             laplacian(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # A NaN fails the symmetry and sign checks; a symmetric inf passes them.
+        M = random_adjacency(20, 3)
+        M[2, 7] = M[7, 2] = bad
+        with pytest.raises(InputError, match="finite"):
+            laplacian(M)
+
     @pytest.mark.parametrize("i, j", [(290, 5), (5, 290), (200, 150)])
     def test_asymmetry_found_in_any_tile(self, i, j):
         # The symmetry check walks tiles of 128 and their mirrors.
