@@ -7,8 +7,11 @@ beta = 1/2, where pairs with Q[i, j] = Q[j, i] = 1 collapse to distance 0.
 Those are exactly the pairs where ``hitting_fast`` writes Q = 1.0 in both
 directions, so degeneracy is read off Q by exact comparison.
 The triangle slack D[i, j] - D[i, k] - D[k, j] of d_beta is that of d_beta0
-plus 2 (beta - beta0) log phi_k, so one ``pivot_maxima`` sweep (worst slack
-per pivot k) checks every triple at every beta.
+plus 2 (beta - beta0) log phi_k, so one sweep (worst slack per pivot k)
+checks every triple at every beta.  The sweep is certified: one GEMM bounds
+every row's worst slack (``_row_bounds``), and ``pivot_maxima`` evaluates
+exactly only the rows whose bound reaches the worst slack found, which gives
+the same float as evaluating every row.
 """
 
 from __future__ import annotations
@@ -124,32 +127,164 @@ def hp_distance(sim: HpSimilarity) -> HpDistance:
     return HpDistance(beta=sim.beta, D=D, is_pseudo=is_pseudo)
 
 
-def pivot_maxima(M: np.ndarray, combine) -> np.ndarray:
-    """w[k] = max of combine(M[i, k], M[k, j]) - M[i, j] over i != j, k not in {i, j}.
+def pivot_maxima(M: np.ndarray, combine, rows=None) -> np.ndarray:
+    """w[k] = max of combine(M[i, k], M[k, j]) - M[i, j] over i != j, k not in {i, j},
+    with i among ``rows`` (every row when None).
 
     ``combine`` is a binary ufunc (np.multiply for submultiplicativity of Q,
     np.add on -D for the triangle inequality of D).  Pivots with no such
-    triple (n < 3) get -inf.  The sweep runs over blocks of rows, each block
-    against every pivot, in one scratch buffer of about 2^16 entries.
+    triple get -inf.  Each row is swept against a block of pivots at a time,
+    in one scratch buffer of about 2^16 entries, so a few rows cost a few
+    steps.  Each slack is the same float whatever rows are swept with it.
     """
     n = M.shape[0]
-    rows = max(1, 2**16 // n)
-    buf = np.empty((rows, n))
+    step = max(1, 2**16 // n)
+    buf = np.empty((step, n))
     w = np.full(n, -np.inf)
-    w_block = np.empty(n)
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        b, block = buf[: i1 - i0], M[i0:i1]
-        diag = (np.arange(i1 - i0), np.arange(i0, i1))
-        for k in range(n):
-            combine.outer(block[:, k], M[k], out=b)
-            b -= block
-            b[diag] = -np.inf
-            b[:, k] = -np.inf
-            if i0 <= k < i1:
-                b[k - i0] = -np.inf
-            w_block[k] = b.max()
-        np.maximum(w, w_block, out=w)
+    for i in range(n) if rows is None else np.asarray(rows).tolist():
+        row = M[i]
+        for k0 in range(0, n, step):
+            k1 = min(k0 + step, n)
+            b = buf[: k1 - k0]
+            combine(row[k0:k1, None], M[k0:k1], out=b)
+            b -= row
+            b[:, i] = -np.inf
+            b[np.arange(k1 - k0), np.arange(k0, k1)] = -np.inf
+            if k0 <= i < k1:
+                b[i - k0] = -np.inf
+            np.maximum(w[k0:k1], b.max(axis=1), out=w[k0:k1])
+    return w
+
+
+# The certificate's p-norm (see ``_row_bounds``), entries per row block of
+# its GEMM, and the unit roundoff u = 2^-53.
+_P = 64
+_CERT_BLOCK = 2**18
+_U = 2.0**-53
+
+
+def _row_bounds(M: np.ndarray, combine, shift=None) -> np.ndarray:
+    """B[i] >= every slack that ``pivot_maxima(M, combine)`` computes in row i,
+    plus ``shift[k]`` at pivot k, from one GEMM.
+
+    In logs, L = M for np.add (M = -D) and L = log M for np.multiply (M = Q),
+    with -inf on the diagonal; h = shift / 2 (zero when None).  With
+    R_ik = L_ik + h_k, C_kj = h_k + L_kj, r_i = max_k R_ik and c_j = max_k C_kj,
+    a = exp(p (R - r)) and b = exp(p (C - c)) lie in [0, 1], and for every k
+        L_ik + L_kj + shift_k <= r_i + c_j + log(sum_k a_ik b_kj) / p = log U_ij,
+    since a maximum is at most a p-norm.  U_ij bounds max_k X_ik X_kj e^shift_k
+    for X = e^L (zero diagonal): one GEMM for every pair over every pivot.
+    p = 64 leaves U within n^(1/64) of that maximum.
+
+    Rounding.  With Λ = max |finite L| + max |h|, γ_m = m u / (1 - m u), and
+    exp and log within 4 ulp, the computed log U falls short of the exact one
+    by at most:
+    - 2uΛ for R and C, and 4uΛ + 8u/p for the differences from r and c (each
+      a relative error of e^(2puΛ) in a and b before the p-th root), plus 4u
+      for exp itself;
+    - γ_n / p for the GEMM of nonnegative terms, in any summation order;
+    - n tiny is added to the sum: each power and product that underflows
+      loses at most 3 * 2^-1074, and n tiny covers n of them;
+    - 48u for log (|log| <= 745 + log n), 4.04uΛ + 25u for adding r and c;
+    - for np.add, the slack's own roundings fl(fl(M_ik + M_kj) - M_ij), then
+      + shift_k: u (8 max |M| + max |shift|) <= 10.2uΛ, and 4uΛ + 12u for
+      log U - M_ij; for np.multiply, 8uΛ for log Q.
+    Together under 32u (Λ + 4) + γ_n / p; E = 64u (Λ + 4) + γ_2n / p doubles it.
+    For np.add, B_i = max_(j != i) (log U_ij - M_ij) + E.  For np.multiply,
+    V = e^(log U + E) (1 + 8u) bounds Q_ik Q_kj (1 + u)^2 with exp's rounding,
+    the computed slack is at most fl(V_ij - Q_ij) + 2u max(V_ij, Q_ij), and
+    B_i = max_(j != i) fl(V_ij - Q_ij) + 4u max_j max(V_ij, Q_ij).  A NaN
+    anywhere in M makes the bounds it reaches NaN.
+    """
+    n = M.shape[0]
+    logs = combine is np.multiply
+    h = np.zeros(n) if shift is None else np.asarray(shift) / 2.0
+    with np.errstate(all="ignore"):
+        fin = np.isfinite(M)
+        if logs:
+            fin &= M > 0.0
+        ends = np.array([np.max(M, where=fin, initial=-np.inf),
+                         np.min(M, where=fin, initial=np.inf)])
+        del fin
+        ends = np.log(ends) if logs else ends
+        lam = float(np.abs(ends[np.isfinite(ends)]).max(initial=0.0) + np.abs(h).max())
+        gamma = 2 * n * _U / (1 - 2 * n * _U)
+        E = 64 * _U * (lam + 4.0) + gamma / _P
+
+        b = np.log(M) if logs else M.copy()
+        b += h[:, None]
+        np.fill_diagonal(b, -np.inf)
+        c = b.max(axis=0)
+        c[c == -np.inf] = 0.0
+        b -= c
+        b *= _P
+        np.exp(b, out=b)
+
+        bound = np.empty(n)
+        step = max(1, _CERT_BLOCK // n)
+        for i0 in range(0, n, step):
+            i1 = min(i0 + step, n)
+            diag = (np.arange(i1 - i0), np.arange(i0, i1))
+            a = np.log(M[i0:i1]) if logs else M[i0:i1].copy()
+            a += h
+            a[diag] = -np.inf
+            r = a.max(axis=1)
+            r[r == -np.inf] = 0.0
+            a -= r[:, None]
+            a *= _P
+            np.exp(a, out=a)
+            U = a @ b
+            del a
+            U += n * np.finfo(float).tiny
+            np.log(U, out=U)
+            U /= _P
+            U += r[:, None]
+            U += c
+            if logs:
+                U += E
+                np.exp(U, out=U)
+                U *= 1.0 + 8 * _U
+                top = np.maximum(U, M[i0:i1]).max(axis=1)
+                U -= M[i0:i1]
+                U[diag] = -np.inf
+                bound[i0:i1] = U.max(axis=1) + 4 * _U * top
+            else:
+                U -= M[i0:i1]
+                U[diag] = -np.inf
+                bound[i0:i1] = U.max(axis=1) + E
+    return bound
+
+
+def certified_pivot_maxima(M: np.ndarray, combine, shifts=(None,)) -> np.ndarray:
+    """Per-pivot maxima w of ``pivot_maxima`` over the rows that can hold a
+    worst slack: for each shift s in ``shifts`` (None: no shift),
+    max(w + s) is the same float as for the sweep of every row.
+
+    Each shift's ``_row_bounds`` bound every row's slacks from one GEMM.  The
+    row with the largest bound is swept first; a row whose bound lies below
+    the worst slack swept so far cannot hold the maximum (rounding is
+    monotone, so neither can w_k + s_k), and the other rows are swept
+    together.  Rows swept for one shift serve the next.
+    """
+    n = M.shape[0]
+    w = np.full(n, -np.inf)
+    unswept = np.ones(n, dtype=bool)
+    for s in shifts:
+        if not unswept.any():
+            break
+        bound = _row_bounds(M, combine, s)
+        first = True
+        while True:
+            achieved = (w if s is None else w + s).max()
+            live = unswept & ~(bound < achieved)  # a NaN bound stays live
+            if not live.any():
+                break
+            rows = np.flatnonzero(live)
+            if first:
+                rows = rows[np.argmax(bound[rows]):][:1]
+            np.maximum(w, pivot_maxima(M, combine, rows), out=w)
+            unswept[rows] = False
+            first = False
     return w
 
 
@@ -185,13 +320,13 @@ def axiom_report(D: np.ndarray, worst_tri: float, tol: float) -> dict:
 def verify_metric_axioms(dist: HpDistance, tol: float = 1e-9) -> dict:
     """Check symmetry, triangle inequality, and off-diagonal positivity.
 
-    Every pair and every triple is checked, at every n: one ``pivot_maxima``
-    sweep covers the triples of distinct indices, and ``repeated_index_slack``
-    the rest.  Returns a report with per-axiom booleans (at tolerance ``tol``)
+    Every pair and every triple is checked, at every n: one certified sweep
+    (``certified_pivot_maxima``) covers the triples of distinct indices, and
+    ``repeated_index_slack`` the rest.  Returns a report with per-axiom booleans (at tolerance ``tol``)
     and the worst observed slack, so callers can apply stricter thresholds.
     """
     D = dist.D
-    worst_tri = max(float(pivot_maxima(-D, np.add).max()), repeated_index_slack(D))
+    worst_tri = max(float(certified_pivot_maxima(-D, np.add).max()), repeated_index_slack(D))
     return axiom_report(D, worst_tri, tol)
 
 

@@ -2,12 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpmetric.errors import InputError, NumericalError, StructureError
 from hpmetric.graphs import make_digraph, row_normalize
+from hpmetric import metric
 from hpmetric.hitting import hitting_fast
-from hpmetric.metric import (HpDistance, HpSimilarity, degenerate_pairs, hp_distance,
-                             hp_similarity, verify_metric_axioms)
+from hpmetric.metric import (HpDistance, HpSimilarity, certified_pivot_maxima, degenerate_pairs,
+                             hp_distance, hp_similarity, pivot_maxima, verify_metric_axioms)
 from hpmetric.stationary import StationaryDistribution, stationary_distribution
 
 from conftest import directed_cycle, named_chain, pipeline, random_chain
@@ -318,3 +321,61 @@ class TestDegeneracy:
         assert degenerate_pairs(Q, phi).classes == [[0, 2], [1]]
         assert Q.Q[0, 1] < 1.0 and Q.Q[2, 1] < 1.0
         assert dist.D[0, 2] == 0.0 and dist.D[0, 1] > 0.0
+
+
+def _full_and_certified(M, combine, shifts):
+    full = pivot_maxima(M, combine)
+    got = certified_pivot_maxima(M, combine, shifts)
+    for s in shifts:
+        want = full.max() if s is None else (full + s).max()
+        have = got.max() if s is None else (got + s).max()
+        assert np.float64(have).tobytes() == np.float64(want).tobytes()
+
+
+class TestCertifiedSweep:
+    """The certified sweep returns the same worst slack, bit for bit, as the
+    sweep of every row: zero rows and columns, exact products and ties,
+    entries whose 64th power underflows, and n <= 3."""
+
+    @given(n=st.integers(1, 9), seed=st.integers(0, 2**31), zero=st.integers(-1, 8),
+           tiny=st.sampled_from([1.0, 1e-9, 1e-300]), tie=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_submultiplicativity(self, n, seed, zero, tiny, tie):
+        rng = np.random.default_rng(seed)
+        Q = rng.random((n, n)) * np.where(rng.random((n, n)) < 0.3, tiny, 1.0)
+        if tie and n >= 3:
+            Q[0, 2] = Q[0, 1] * Q[1, 2]  # an exact product: slack 0
+            Q[2, 0] = Q[2, 1] * Q[1, 0]
+        if 0 <= zero < n:
+            Q[zero] = 0.0
+            Q[:, (zero + 1) % n] = 0.0
+        np.fill_diagonal(Q, 0.0)
+        _full_and_certified(Q, np.multiply, (None,))
+
+    @given(n=st.integers(1, 9), seed=st.integers(0, 2**31), scale=st.sampled_from([1.0, 50.0, 700.0]),
+           ties=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_triangle_with_shifts(self, n, seed, scale, ties):
+        rng = np.random.default_rng(seed)
+        D = rng.random((n, n)) * scale
+        if ties:
+            D = np.round(D * 4) / 4  # dyadic: many exact sums and ties
+        D = D + D.T
+        np.fill_diagonal(D, 0.0)
+        log_phi = np.log(rng.dirichlet(np.ones(n)))
+        shifts = [2.0 * (beta - 0.5) * log_phi for beta in (0.5, 0.75, 1.0)]
+        _full_and_certified(-D, np.add, shifts)
+        _full_and_certified(-D, np.add, (None,))
+
+    @pytest.mark.parametrize("name", ["random-300", "glued-5-40-3", "acceptance-3"])
+    def test_chains_sweep_few_rows_or_all(self, name, acceptance_suite, monkeypatch):
+        tm = named_chain(name, acceptance_suite)
+        Q = hitting_fast(tm).Q
+        swept = []
+        real = metric.pivot_maxima
+        monkeypatch.setattr(metric, "pivot_maxima",
+                            lambda M, combine, rows: swept.append(len(rows)) or real(M, combine, rows))
+        _full_and_certified(Q, np.multiply, (None,))
+        assert sum(swept) <= tm.n
+        if name == "random-300":
+            assert sum(swept) <= 5

@@ -302,3 +302,16 @@ def test_no_dense_inverse_or_solve_on_g():
     inverting = {(mod, fn) for mod, fn, callee in SRC_CALLS if callee in DENSE_INVERSES}
     assert {("stationary", "stationary_distribution"), ("hitting", "hitting_fast")} <= on_g
     assert inverting and not on_g & inverting
+
+
+def test_every_pivot_sweep_takes_rows_from_the_certificate():
+    """The exhaustive pivot sweep runs only inside the certified sweep, on the
+    rows its row bounds leave."""
+    callers = [(mod, fn) for mod, fn, callee in SRC_CALLS
+               if callee.rsplit(".", 1)[-1] == "pivot_maxima"]
+    assert callers == [("metric", "certified_pivot_maxima")]
+    tree = ast.parse((SRC / "metric.py").read_text(encoding="utf-8"))
+    sweeps = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and dotted(node.func) == "pivot_maxima"]
+    assert sweeps and all(len(node.args) == 3 and isinstance(node.args[2], ast.Name)
+                          and node.args[2].id == "rows" for node in sweeps)

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hpmetric import hitting, quotient, verify
 from hpmetric.cli import main
-from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles
+from hpmetric.generators import GluedCyclesSpec, gen_glued_cycles, gen_random_strongly_connected
 from hpmetric.graphs import row_normalize
 from hpmetric.hitting import HittingProbabilities, hitting_fast
 from hpmetric.metric import hp_distance, hp_similarity, repeated_index_slack, verify_metric_axioms
@@ -163,3 +164,19 @@ class TestPivotSweepAgainstOracles:
         forward, backward = level_metric(tm, BETAS), level_metric(tm, BETAS[::-1])
         assert list(backward) == list(forward)[::-1]
         assert backward == forward
+
+
+def test_level_metric_peak_at_1000_nodes():
+    # The sweep and the similarity at each beta held about 3.01 n x n at
+    # n = 1000; the certificate may add its one n x n of scratch.
+    n = 1000
+    tm = row_normalize(gen_random_strongly_connected(n, p=20 / n, seed=5))
+    stationary_distribution(tm)
+    hitting_fast(tm)
+    tracemalloc.start()
+    try:
+        level_metric(tm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * 8 * n * n
