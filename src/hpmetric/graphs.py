@@ -15,6 +15,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -200,15 +201,16 @@ def row_normalize(g: WeightedDigraph) -> TransitionMatrix:
     return TransitionMatrix(n=g.n, P=w, labels=list(g.labels))
 
 
-def numbered_lines(source):
+def numbered_lines(source, start: int = 0):
     """(number, text) of each line of bytes, str, or a binary or text stream,
-    ended by \\n, \\r\\n or \\r as a text file reads them.  Bytes are
-    decoded as UTF-8 one line at a time: the whole text is never held."""
+    ended by \\n, \\r\\n or \\r as a text file reads them, numbered from
+    ``start`` + 1.  Bytes are decoded as UTF-8 one line at a time: the whole
+    text is never held."""
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     elif isinstance(source, str):
         source = (m[0] for m in re.finditer(r".*\n|.+", source))
-    lineno = 0
+    lineno = start
     for chunk in source:
         if isinstance(chunk, bytes):
             try:
@@ -230,9 +232,68 @@ def _weight(w: float, lineno: int, token: str | None = None) -> float:
     return w
 
 
-def _csv_edges(lines, rows: array, cols: array, vals: array) -> list:
-    """Append each CSV edge to rows, cols and vals; return the node labels."""
-    index = {}
+# Bytes (or characters) of whole lines per chunk of a CSV edge list.
+_CSV_CHUNK = 1 << 16
+
+
+def _line_chunks(source):
+    """Pieces of bytes, str, or a binary or text stream, each a run of whole
+    lines that ends in \\n (one is added to the last), of about
+    ``_CSV_CHUNK`` each."""
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    elif isinstance(source, str):
+        source = io.StringIO(source, newline="")
+    carry = None
+    while piece := source.read(_CSV_CHUNK):
+        nl = b"\n" if isinstance(piece, bytes) else "\n"
+        piece = piece if carry is None else carry + piece
+        cut = piece.rfind(nl) + 1
+        if cut:
+            yield piece[:cut]
+        carry = piece[cut:]
+    if carry:
+        yield carry + nl
+
+
+def _plain_csv(text: str, index: dict, rows: array, cols: array, vals: array) -> bool:
+    """Append the edges of a chunk of plain lines as whole arrays; return
+    False, having appended nothing, for any other chunk.  Plain: no
+    whitespace but the line ends, no '#', no empty field, every line
+    `src,dst` or every line `src,dst,weight`, and weights that ``float``
+    parses to finite values >= 0."""
+    lines = text[:-1].split("\n")
+    if lines != text.split() or "#" in text:
+        return False
+    commas = set(map(str.count, lines, repeat(",")))
+    if commas != {1} and commas != {2}:
+        return False
+    fields = ",".join(lines).split(",")
+    if "" in fields:
+        return False
+    if commas == {2}:
+        try:
+            w = np.array(list(map(float, fields[2::3])))
+        except ValueError:
+            return False
+        if not (np.isfinite(w).all() and (w >= 0).all()):
+            return False
+        del fields[2::3]
+    else:
+        w = np.ones(len(lines))
+    # New labels in order of first appearance, then every field's id.
+    new = [f for f in dict.fromkeys(fields) if f not in index]
+    index.update(zip(new, range(len(index), len(index) + len(new))))
+    codes = np.fromiter(map(index.__getitem__, fields), np.int32, len(fields))
+    rows.frombytes(codes[0::2].tobytes())
+    cols.frombytes(codes[1::2].tobytes())
+    vals.frombytes(w.tobytes())
+    return True
+
+
+def _csv_lines(lines, index: dict, rows: array, cols: array, vals: array) -> int:
+    """Append each CSV edge of the numbered lines; return the last number."""
+    lineno = None
     for lineno, raw in lines:
         line = raw.strip()
         if not line or line[0] == "#":
@@ -251,6 +312,23 @@ def _csv_edges(lines, rows: array, cols: array, vals: array) -> list:
         vals.append(_weight(w, lineno, weight))
         rows.append(index.setdefault(src, len(index)))
         cols.append(index.setdefault(dst, len(index)))
+    return lineno
+
+
+def _csv_edges(source, rows: array, cols: array, vals: array) -> list:
+    """Append each CSV edge to rows, cols and vals; return the node labels.
+    Chunks of plain lines are parsed as whole arrays, any other chunk line by
+    line, with the same labels, weights and errors."""
+    index, lineno = {}, 0
+    for chunk in _line_chunks(source):
+        try:
+            text = chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk
+        except UnicodeDecodeError:
+            text = None
+        if text is not None and _plain_csv(text, index, rows, cols, vals):
+            lineno += text.count("\n")
+        else:
+            lineno = _csv_lines(numbered_lines(chunk, lineno), index, rows, cols, vals)
     if not index:
         raise InputError("edge list contains no edges")
     return list(index)
@@ -311,7 +389,10 @@ def _matrix_market_edges(lines, rows: array, cols: array, vals: array) -> list:
 
 def load_edge_list(source, format: str = "csv") -> WeightedDigraph:
     """Parse bytes, str, or a binary or text stream into a WeightedDigraph
-    in one pass over its lines (see ``numbered_lines``).
+    in one pass: CSV in chunks of about ``_CSV_CHUNK`` bytes of whole lines,
+    each parsed as whole arrays when its lines are plain and line by line
+    otherwise, Matrix Market line by line (see ``numbered_lines``).  Only a
+    chunk or a line is held at a time.
 
     CSV: one `src,dst[,weight]` edge per line, weight defaulting to 1.0,
     '#' comments ignored, nodes ordered by first appearance.  Matrix Market:
@@ -319,11 +400,13 @@ def load_edge_list(source, format: str = "csv") -> WeightedDigraph:
     '1'..'n', as many entries as the size line declares.  Duplicate (i, j)
     entries have their weights summed in both formats.
     """
-    edges = {"csv": _csv_edges, "matrix-market": _matrix_market_edges}.get(format)
-    if edges is None:
+    if format not in ("csv", "matrix-market"):
         raise InputError(f"unknown edge list format {format!r}")
     rows, cols, vals = array("i"), array("i"), array("d")
-    labels = edges(numbered_lines(source), rows, cols, vals)
+    if format == "csv":
+        labels = _csv_edges(source, rows, cols, vals)
+    else:
+        labels = _matrix_market_edges(numbered_lines(source), rows, cols, vals)
     n = len(labels)
     weights = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return WeightedDigraph(n=n, labels=labels, weights=weights)

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpmetric import graphs
 from hpmetric.errors import InputError, IrreducibilityError, ParseError
 from hpmetric.files import write_edge_csv
 from hpmetric.generators import gen_random_strongly_connected
@@ -130,6 +131,9 @@ WEIGHTS = ["1", "2.5", " 0.25 ", "1e-3", "0", "3.0000000000000004", "7"]
 BAD_CSV_LINES = ["a", "a,b,1,2", ",b", "a, ,1", "a,b,x", "a,b,inf", "a,b, nan ",
                  "a,b,-1", "a;b;1"]
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+# Lines of the array parse, and weights it hands to the line parse.
+PLAIN_CSV_LINES = ["a,b", "b,c,2", "c,a,0.5", "a,c,1e-3", "d,a,-0", "a,d,+.5e1", "né,a,1.",
+                   "a,b,1e400", "a,b,1e", "a,b,1-2", "#a,b,1", "a,#b,1", "a,b,00.25"]
 
 
 def as_source(text, kind):
@@ -169,6 +173,22 @@ class TestAgainstParentLoader:
         text = ending.join(lines) + (ending if last else "")
         assert (outcome(load_edge_list, text, kind, "csv")
                 == outcome(oracle_load_edge_list, text, kind, "csv"))
+
+    @given(lines=st.lists(st.one_of(csv_lines, st.sampled_from(PLAIN_CSV_LINES)), max_size=40),
+           bad=st.sampled_from([None, *BAD_CSV_LINES]), at=st.integers(0, 40), ending=ENDINGS,
+           last=st.booleans(), kind=st.sampled_from(["str", "bytes", "binary", "text"]),
+           chunk=st.sampled_from([1, 5, 16, 64]))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_in_small_chunks(self, lines, bad, at, ending, last, kind, chunk):
+        # Chunk boundaries everywhere: plain chunks parsed as arrays next to
+        # chunks parsed line by line.
+        if bad is not None:
+            lines.insert(min(at, len(lines)), bad)
+        text = ending.join(lines) + (ending if last else "")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_CSV_CHUNK", chunk)
+            got = outcome(load_edge_list, text, kind, "csv")
+        assert got == outcome(oracle_load_edge_list, text, kind, "csv")
 
     @given(kind_field=st.sampled_from(["real", "integer", "pattern"]),
            n=st.integers(1, 4),
