@@ -298,11 +298,20 @@ def _sampler(P: np.ndarray):
     s + u over all rows finds the first nonzero whose cumulative sum exceeds
     u.  The result is clipped to the row's last nonzero, since s + u can round
     up to s + 1.  Offsetting by s costs resolution: transition probabilities
-    are resolved to about n * 2**-52, not 2**-53.
+    are resolved to about n * 2**-52, not 2**-53.  The running sums are taken
+    over each row's nonzeros alone, left-aligned in a table as wide as the
+    largest degree: adding a zero changes no sum, so they are the bits of
+    each full row's cumsum, without an n x n temporary on a sparse support.
     """
     rows, cols = np.nonzero(P)
-    last = np.cumsum(np.count_nonzero(P, axis=1)) - 1
-    cum = np.minimum(np.cumsum(P, axis=1)[rows, cols], 1.0)
+    degree = np.bincount(rows, minlength=P.shape[0])
+    last = np.cumsum(degree) - 1
+    at = np.arange(rows.size) - (last - degree + 1)[rows]
+    table = np.zeros((P.shape[0], degree.max()))
+    table[rows, at] = P[rows, cols]
+    np.cumsum(table, axis=1, out=table)
+    cum = np.minimum(table[rows, at], 1.0)
+    del table
     cum[last] = 1.0
     cum += rows
 
@@ -311,6 +320,12 @@ def _sampler(P: np.ndarray):
         return cols[np.minimum(k, last[states])]
 
     return draw
+
+
+@per_chain
+def _chain_sampler(tm: TransitionMatrix):
+    """``_sampler`` of the chain's P, built once per chain."""
+    return _sampler(tm.P)
 
 
 def _excursions(tm: TransitionMatrix, i: int, j: int, walks: int, seed: int,
@@ -328,7 +343,7 @@ def _excursions(tm: TransitionMatrix, i: int, j: int, walks: int, seed: int,
         raise InputError("source and target must differ")
     if walks < 1:
         raise InputError(f"need at least one walk, got {walks}")
-    draw = _sampler(tm.P)
+    draw = _chain_sampler(tm)
     rng = stream(seed, 0)
     visits = np.zeros(walks, dtype=np.int64)
     active = np.arange(walks)
