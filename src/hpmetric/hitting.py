@@ -84,9 +84,10 @@ def hitting_reference(tm: TransitionMatrix, j: int) -> np.ndarray:
     return col
 
 
-def _censor(C: np.ndarray, leaving: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _censor(C: np.ndarray, leaving: np.ndarray, keep: np.ndarray, drop: np.ndarray) -> np.ndarray:
     """The stack of chains C censored onto the states ``keep``:
-    C_SS + C_SK (I - C_KK)^-1 C_KS, returned with a zero diagonal.
+    C_SS + C_SK (I - C_KK)^-1 C_KS, returned with a zero diagonal.  The
+    states eliminated, K, are ``drop``: the one range that ``keep`` leaves out.
 
     C has a zero diagonal, and ``leaving`` holds its row sums: the mass
     leaving each state.  That mass is the diagonal of I - C_KK, as in GTH
@@ -97,7 +98,6 @@ def _censor(C: np.ndarray, leaving: np.ndarray, keep: np.ndarray) -> np.ndarray:
     eliminated state is a division, which spares the many 3- and 4-state
     chains LAPACK's cost per matrix.
     """
-    drop = np.setdiff1d(np.arange(C.shape[1]), keep)
     if drop.size == 1:
         out = C[:, keep[:, None], drop] * (C[:, drop[:, None], keep] / leaving[:, drop, None])
     else:
@@ -164,18 +164,22 @@ def hitting_by_reduction(tm: TransitionMatrix) -> np.ndarray:
         C = parts[0][0] if len(parts) == 1 else np.concatenate([c for c, _ in parts])
         states = np.concatenate([i for _, i in parts])
         del parts
+        # (kept states, the one range of dropped states, split, whole)
         if s >= m - s:
             a = (s + 1) // 2
-            children = [(np.r_[0:a, s:m], a, False), (np.arange(a, m), s - a, False)]
+            children = [(np.r_[0:a, s:m], np.arange(a, s), a, False),
+                        (np.arange(a, m), np.arange(a), s - a, False)]
         else:
             b = s + (m - s + 1) // 2
-            children = [(np.arange(b), s, False), (np.r_[0:s, b:m], s, False)]
+            children = [(np.arange(b), np.arange(b, m), s, False),
+                        (np.r_[0:s, b:m], np.arange(s, b), s, False)]
         if whole:
-            children += [(np.arange(lo, hi), (hi - lo + 1) // 2, True)
-                         for lo, hi in ((0, s), (s, m)) if hi - lo > 1]
+            children += [(np.arange(lo, hi), drop, (hi - lo + 1) // 2, True)
+                         for lo, hi, drop in ((0, s, np.arange(s, m)), (s, m, np.arange(s)))
+                         if hi - lo > 1]
         leaving = C.sum(axis=2)
-        for keep, split, child_whole in children:
-            put(_censor(C, leaving, keep), states[:, keep], split, child_whole)
+        for keep, drop, split, child_whole in children:
+            put(_censor(C, leaving, keep, drop), states[:, keep], split, child_whole)
         del C, states, leaving
     return Q
 

@@ -133,26 +133,32 @@ def pivot_maxima(M: np.ndarray, combine, rows=None) -> np.ndarray:
 
     ``combine`` is a binary ufunc (np.multiply for submultiplicativity of Q,
     np.add on -D for the triangle inequality of D).  Pivots with no such
-    triple get -inf.  Each row is swept against a block of pivots at a time,
-    in one scratch buffer of about 2^16 entries, so a few rows cost a few
-    steps.  Each slack is the same float whatever rows are swept with it.
+    triple get -inf.  A group of rows is swept against a block of pivots at
+    a time, in one scratch buffer of about 2^17 entries: up to 2^17 / n rows,
+    against 2^17 / (rows n) pivots, so a few rows cost a few steps and many
+    rows a step per pivot.  Each slack is the same float whatever rows are
+    swept with it.
     """
     n = M.shape[0]
-    step = max(1, 2**16 // n)
-    buf = np.empty((step, n))
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    group = min(rows.size, max(1, 2**17 // n))
+    step = max(1, 2**17 // (group * n))
+    buf = np.empty(group * min(step, n) * n)
     w = np.full(n, -np.inf)
-    for i in range(n) if rows is None else np.asarray(rows).tolist():
-        row = M[i]
+    for g0 in range(0, rows.size, group):
+        R = rows[g0:g0 + group]
+        t = np.arange(R.size)
+        head = M[R]
         for k0 in range(0, n, step):
             k1 = min(k0 + step, n)
-            b = buf[: k1 - k0]
-            combine(row[k0:k1, None], M[k0:k1], out=b)
-            b -= row
-            b[:, i] = -np.inf
-            b[np.arange(k1 - k0), np.arange(k0, k1)] = -np.inf
-            if k0 <= i < k1:
-                b[i - k0] = -np.inf
-            np.maximum(w[k0:k1], b.max(axis=1), out=w[k0:k1])
+            b = buf[: (k1 - k0) * R.size * n].reshape(k1 - k0, R.size, n)
+            combine(head.T[k0:k1, :, None], M[k0:k1, None], out=b)
+            b -= head
+            b[:, t, R] = -np.inf  # j = i
+            b[np.arange(k1 - k0), :, np.arange(k0, k1)] = -np.inf  # j = k
+            at = (k0 <= R) & (R < k1)
+            b[R[at] - k0, t[at]] = -np.inf  # k = i
+            np.maximum(w[k0:k1], b.reshape(k1 - k0, -1).max(axis=1), out=w[k0:k1])
     return w
 
 
@@ -281,7 +287,7 @@ def certified_pivot_maxima(M: np.ndarray, combine, shifts=(None,)) -> np.ndarray
                 break
             rows = np.flatnonzero(live)
             if first:
-                rows = rows[np.argmax(bound[rows]):][:1]
+                rows = rows[[np.argmax(bound[rows])]]
             np.maximum(w, pivot_maxima(M, combine, rows), out=w)
             unswept[rows] = False
             first = False

@@ -443,3 +443,28 @@ class TestDraw:
             want = [bisect_right(cum.tolist(), u) for u in us]
             assert got.tolist() == want
             assert np.all(tm.P[r, got] > 0.0)
+
+    @pytest.mark.parametrize("n, seed", [(40, 1), (120, 2)])
+    def test_draws_are_those_of_the_full_row_cumsum(self, n, seed):
+        # The sampler built on np.cumsum(P, axis=1) over every full row.  Its
+        # table's own values, offset by the row, are probed exactly, so a
+        # running sum that differed in one bit would move a draw.
+        P = random_chain(n, seed).P
+        assert (P == 0.0).any()
+        rows, cols = np.nonzero(P)
+        last = np.cumsum(np.count_nonzero(P, axis=1)) - 1
+        cum = np.minimum(np.cumsum(P, axis=1)[rows, cols], 1.0)
+        cum[last] = 1.0
+        cum += rows
+        u = cum - rows  # exact: s + u gives back each table value
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 2.0)])
+        states = np.tile(rows, 3)
+        keep = u < 1.0
+        states = np.concatenate([states[keep], np.random.default_rng(seed).integers(0, n, 10**4)])
+        u = np.concatenate([u[keep], np.random.default_rng(seed + 1).random(10**4)])
+        want = cols[np.minimum(np.searchsorted(cum, states + u, side="right"), last[states])]
+        assert np.array_equal(hitting._sampler(P)(states, u), want)
+
+    def test_built_once_per_chain(self):
+        tm = random_chain(30, seed=3)
+        assert hitting._chain_sampler(tm) is hitting._chain_sampler(tm)
