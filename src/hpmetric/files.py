@@ -2,10 +2,10 @@
 
 Dense matrices are written with a label header row and 17-significant-digit
 values so that write-then-read round-trips exactly.  Both directions stream:
-the reader parses a block of lines at a time with one ``np.fromstring`` call
-into the one matrix it returns, and the writer formats a block of n // 160
-rows at a time (scratch of about 3 % of the file's size) into exactly the
-bytes of ``FLOAT_FMT % x``, with one ``write`` per block.  The 17 digits of x are N = round(|x| * 10**s), s = 16 - e
+the reader parses each line with one ``np.fromstring`` call, and the writer
+formats a block of n // 160 rows at a time (scratch of about 3 % of the
+file's size) into exactly the bytes of ``FLOAT_FMT % x``, with one
+``write`` per block.  The 17 digits of x are N = round(|x| * 10**s), s = 16 - e
 for its decade e.  10**s is held as hi + lo, both doubles rounded from exact
 fractions; |x| * hi is split exactly into p + err by Dekker's two-product, and
 |x| * lo is added to err.  With u = 2**-53 and p < 2**57, p + err misses
@@ -91,7 +91,6 @@ _DIGITS4 = _DIGITS4.view(np.uint32).ravel()
 _ROW = np.arange(24, dtype=np.uint8)[:, None]
 _WIDTH = 24  # the longest text, "-d.dddddddddddddddde-308"
 _VALUES_PER_BLOCK_ROW = 160  # a block has n // 160 rows
-_READ_BLOCK = 1 << 12  # bytes of lines per block that read_dense_csv parses
 _EDGES_PER_CHUNK = 1 << 12
 
 
@@ -262,71 +261,45 @@ def write_dense_csv(path, M: np.ndarray, labels) -> None:
             fh.write(_block_text(M[r:r + step], sep))
 
 
-def _plain_rows(block: list, width: int):
-    """The rows of a block of lines as one (lines, width) array, parsed by one
-    ``np.fromstring``, or None unless every line is a row of ``width``
-    values: not blank, no '#' first, ``width - 1`` commas, and a block that
-    reads to its end as width values a line."""
-    lines = [line.rstrip(b"\r\n") for line in block]
-    if any(line.count(b",") != width - 1 or line[:1] == b"#" or not line.strip()
-           for line in lines):
-        return None
-    try:
-        values = np.fromstring(b",".join(lines), sep=",")
-    except (ValueError, DeprecationWarning):
-        return None
-    return values.reshape(len(lines), width) if values.size == len(lines) * width else None
-
-
 def read_dense_csv(path):
     """Read a matrix written by :func:`write_dense_csv`.
 
     Blank lines and lines starting with ``#`` are skipped; the first other
     line holds the labels and every later one a row.  A row whose value count
     differs from the labels', or that holds a non-numeric value, raises
-    :class:`ParseError` with its line number in the file.  The file is read in
-    blocks of about ``_READ_BLOCK`` bytes of lines into one matrix with a row
-    per label (grown if there are more); a block of rows is parsed by one ``np.fromstring``
-    (``_plain_rows``), any other block line by line.
+    :class:`ParseError` with its line number in the file.  Each row is parsed
+    by one ``np.fromstring`` into the matrix returned, which has a row per
+    label (grown if there are more).
     """
-    labels, out, filled, lineno = None, None, 0, 0
+    labels, out, filled = None, None, 0
     with open(path, "rb") as fh, warnings.catch_warnings():
         # Older numpy releases only warn on a partial parse; make them raise.
         warnings.simplefilter("error", DeprecationWarning)
-        while block := fh.readlines(_READ_BLOCK):
-            rows = None if labels is None else _plain_rows(block, len(labels))
-            if rows is None:
-                rows = []
-                for lineno, line in enumerate(block, start=lineno + 1):
-                    line = line.rstrip(b"\r\n")
-                    if not line.strip() or line.startswith(b"#"):
-                        continue
-                    if labels is None:
-                        try:
-                            labels = line.decode("utf-8").split(",")
-                        except UnicodeDecodeError as exc:
-                            raise ParseError(f"not UTF-8: {exc.reason}", lineno) from None
-                        # A row per label, or as many as the file can hold
-                        # at two bytes a value.
-                        width = len(labels)
-                        most = os.fstat(fh.fileno()).st_size // (2 * width) + 1
-                        out = np.empty((min(width, most), width))
-                        continue
-                    try:
-                        row = np.fromstring(line, sep=",")
-                    except (ValueError, DeprecationWarning):
-                        raise ParseError("non-numeric value", lineno) from None
-                    # fromstring accepts a trailing comma, so count the commas too.
-                    if row.size != len(labels) or line.count(b",") != len(labels) - 1:
-                        raise ParseError(f"expected {len(labels)} values", lineno)
-                    rows.append(row)
-            else:
-                lineno += len(block)
-            if len(rows):
-                if filled + len(rows) > len(out):  # more rows than labels
-                    out = np.concatenate([out[:filled], np.empty((max(filled, len(rows)), len(labels)))])
-                out[filled:filled + len(rows)] = rows
-                filled += len(rows)
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip(b"\r\n")
+            if not line.strip() or line.startswith(b"#"):
+                continue
+            if labels is None:
+                try:
+                    labels = line.decode("utf-8").split(",")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"not UTF-8: {exc.reason}", lineno) from None
+                # A row per label, or as many as the file can hold at two
+                # bytes a value.
+                most = os.fstat(fh.fileno()).st_size // (2 * len(labels)) + 1
+                out = np.empty((min(len(labels), most), len(labels)))
+                continue
+            try:
+                row = np.fromstring(line, sep=",")
+            except (ValueError, DeprecationWarning):
+                raise ParseError("non-numeric value", lineno) from None
+            # fromstring accepts a trailing comma, so count the commas too.
+            if row.size != len(labels) or line.count(b",") != len(labels) - 1:
+                raise ParseError(f"expected {len(labels)} values", lineno)
+            if filled == len(out):  # more rows than labels
+                out = np.concatenate([out, np.empty_like(out)])
+            out[filled] = row
+            filled += 1
     if labels is None:
         raise ParseError("empty matrix file", 1)
     if filled == 0:

@@ -14,8 +14,8 @@ import io
 import math
 import re
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -256,39 +256,49 @@ def _line_chunks(source):
         yield carry + nl
 
 
-def _plain_csv(text: str, index: dict, rows: array, cols: array, vals: array) -> bool:
-    """Append the edges of a chunk of plain lines as whole arrays; return
-    False, having appended nothing, for any other chunk.  Plain: no
-    whitespace but the line ends, no '#', no empty field, every line
-    `src,dst` or every line `src,dst,weight`, and weights that ``float``
-    parses to finite values >= 0."""
-    lines = text[:-1].split("\n")
-    if lines != text.split() or "#" in text:
-        return False
-    commas = set(map(str.count, lines, repeat(",")))
-    if commas != {1} and commas != {2}:
-        return False
-    fields = ",".join(lines).split(",")
-    if "" in fields:
-        return False
-    if commas == {2}:
-        try:
-            w = np.array(list(map(float, fields[2::3])))
+# Whitespace other than the line ends, which a plain chunk has none of.
+_SPACE = re.compile(r"[^\S\n]")
+
+
+def _plain_csv(chunk, index: dict, rows: array, cols: array, vals: array) -> int:
+    """Append the edges of a chunk of whole lines as whole arrays and return
+    its line count; return 0, having appended nothing, unless every line is
+    plain.  Plain: every line `src,dst` or every line `src,dst,weight`, no
+    empty field, no '#', no whitespace but the \\n ending each line, and
+    weights that ``float`` parses to finite values >= 0.  The lines are
+    checked on the chunk's bytes, the labels mapped by one ``index`` lookup
+    each and the weights parsed by one ``np.array`` call."""
+    raw = chunk.encode("utf-8", "surrogatepass") if isinstance(chunk, str) else chunk
+    b = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(b == 10)
+    seps = np.flatnonzero((b == 44) | (b == 10))
+    k = len(seps) // len(ends)  # fields per line
+    if (k not in (2, 3) or len(seps) != k * len(ends) or not np.array_equal(seps[k - 1::k], ends)
+            or np.diff(seps, prepend=-1).min() < 2
+            or np.count_nonzero((b <= 32) | (b == 35)) != len(ends)):
+        return 0
+    try:
+        text = chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk
+    except UnicodeDecodeError:
+        return 0
+    if b.max() >= 128 and _SPACE.search(text):
+        return 0
+    fields = text.replace("\n", ",").split(",")
+    fields.pop()  # after the last line end
+    w = np.ones(len(ends))
+    if k == 3:
+        try:  # float's own parse of each str: the same values and errors
+            w = np.array(fields[2::3], dtype=float)
         except ValueError:
-            return False
+            return 0
         if not (np.isfinite(w).all() and (w >= 0).all()):
-            return False
+            return 0
         del fields[2::3]
-    else:
-        w = np.ones(len(lines))
-    # New labels in order of first appearance, then every field's id.
-    new = [f for f in dict.fromkeys(fields) if f not in index]
-    index.update(zip(new, range(len(index), len(index) + len(new))))
     codes = np.fromiter(map(index.__getitem__, fields), np.int32, len(fields))
     rows.frombytes(codes[0::2].tobytes())
     cols.frombytes(codes[1::2].tobytes())
     vals.frombytes(w.tobytes())
-    return True
+    return len(ends)
 
 
 def _csv_lines(lines, index: dict, rows: array, cols: array, vals: array) -> int:
@@ -310,8 +320,8 @@ def _csv_lines(lines, index: dict, rows: array, cols: array, vals: array) -> int
         except ValueError:
             raise ParseError(f"bad weight {weight.strip()!r}", lineno) from None
         vals.append(_weight(w, lineno, weight))
-        rows.append(index.setdefault(src, len(index)))
-        cols.append(index.setdefault(dst, len(index)))
+        rows.append(index[src])
+        cols.append(index[dst])
     return lineno
 
 
@@ -319,16 +329,13 @@ def _csv_edges(source, rows: array, cols: array, vals: array) -> list:
     """Append each CSV edge to rows, cols and vals; return the node labels.
     Chunks of plain lines are parsed as whole arrays, any other chunk line by
     line, with the same labels, weights and errors."""
-    index, lineno = {}, 0
+    index = defaultdict()
+    index.default_factory = index.__len__  # a new label gets the next id
+    lineno = 0
     for chunk in _line_chunks(source):
-        try:
-            text = chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk
-        except UnicodeDecodeError:
-            text = None
-        if text is not None and _plain_csv(text, index, rows, cols, vals):
-            lineno += text.count("\n")
-        else:
-            lineno = _csv_lines(numbered_lines(chunk, lineno), index, rows, cols, vals)
+        plain = _plain_csv(chunk, index, rows, cols, vals)
+        lineno = lineno + plain if plain else _csv_lines(numbered_lines(chunk, lineno), index,
+                                                         rows, cols, vals)
     if not index:
         raise InputError("edge list contains no edges")
     return list(index)

@@ -328,8 +328,9 @@ def verify_metric_axioms(dist: HpDistance, tol: float = 1e-9) -> dict:
 
     Every pair and every triple is checked, at every n: one certified sweep
     (``certified_pivot_maxima``) covers the triples of distinct indices, and
-    ``repeated_index_slack`` the rest.  Returns a report with per-axiom booleans (at tolerance ``tol``)
-    and the worst observed slack, so callers can apply stricter thresholds.
+    ``repeated_index_slack`` the rest.  Returns a report with per-axiom
+    booleans (at tolerance ``tol``) and the worst observed slack, so callers
+    can apply stricter thresholds.
     """
     D = dist.D
     worst_tri = max(float(certified_pivot_maxima(-D, np.add).max()), repeated_index_slack(D))

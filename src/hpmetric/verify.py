@@ -9,10 +9,10 @@ Nothing is sampled.  Submultiplicativity and the triangle inequality are
 checked on every triple at every n, each by one certified sweep
 (``certified_pivot_maxima``): a GEMM bounds each row's worst slack, and only
 the rows that bound cannot clear are swept exactly, with the same result as
-sweeping all of them.  The triangle sweep serves every beta.  Every entry of the fast Q is compared with
-the state-reduction Q of ``hitting_by_reduction``, which shares no step with
-the fast path and costs O(n^3); ``used_reference`` flags a fast Q made by it,
-which is not compared with itself.
+sweeping all of them.  The triangle sweep serves every beta.  Every entry of
+the fast Q is compared with the state-reduction Q of ``hitting_by_reduction``,
+which shares no step with the fast path and costs O(n^3); ``used_reference``
+flags a fast Q made by it, which is not compared with itself.
 """
 
 from __future__ import annotations

@@ -133,7 +133,8 @@ BAD_CSV_LINES = ["a", "a,b,1,2", ",b", "a, ,1", "a,b,x", "a,b,inf", "a,b, nan ",
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 # Lines of the array parse, and weights it hands to the line parse.
 PLAIN_CSV_LINES = ["a,b", "b,c,2", "c,a,0.5", "a,c,1e-3", "d,a,-0", "a,d,+.5e1", "né,a,1.",
-                   "a,b,1e400", "a,b,1e", "a,b,1-2", "#a,b,1", "a,#b,1", "a,b,00.25"]
+                   "a,b,1e400", "a,b,1e", "a,b,1-2", "#a,b,1", "a,#b,1", "a,b,00.25",
+                   "a,b,1_0", "e,a,\u0663", "a,b,1e-400", "a\xa0b,c,1", "c,\td,2", "a,b,"]
 
 
 def as_source(text, kind):

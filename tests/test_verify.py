@@ -168,7 +168,7 @@ class TestPivotSweepAgainstOracles:
 
 def test_level_metric_peak_at_1000_nodes():
     # The sweep and the similarity at each beta held about 3.01 n x n at
-    # n = 1000; the certificate may add its one n x n of scratch.
+    # n = 1000; the certificate may add at most one n x n of scratch.
     n = 1000
     tm = row_normalize(gen_random_strongly_connected(n, p=20 / n, seed=5))
     stationary_distribution(tm)
@@ -179,4 +179,4 @@ def test_level_metric_peak_at_1000_nodes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.1 * 8 * n * n
+    assert peak <= 4.01 * 8 * n * n
