@@ -260,7 +260,7 @@ def _line_chunks(source):
 _SPACE = re.compile(r"[^\S\n]")
 
 
-def _plain_csv(chunk, index: dict, rows: array, cols: array, vals: array) -> int:
+def _plain_csv(chunk, index: defaultdict, rows: array, cols: array, vals: array) -> int:
     """Append the edges of a chunk of whole lines as whole arrays and return
     its line count; return 0, having appended nothing, unless every line is
     plain.  Plain: every line `src,dst` or every line `src,dst,weight`, no
@@ -301,7 +301,7 @@ def _plain_csv(chunk, index: dict, rows: array, cols: array, vals: array) -> int
     return len(ends)
 
 
-def _csv_lines(lines, index: dict, rows: array, cols: array, vals: array) -> int:
+def _csv_lines(lines, index: defaultdict, rows: array, cols: array, vals: array) -> int:
     """Append each CSV edge of the numbered lines; return the last number."""
     lineno = None
     for lineno, raw in lines:
